@@ -4,9 +4,7 @@
 // baseline. This isolates the contribution of
 //   (1) the time-travel index        (engine choice: key-oij vs scale),
 //   (2) the dynamic balanced schedule (options.dynamic_schedule),
-//   (3) incremental aggregation       (options.incremental_agg),
-//   (4) pooled allocation             (options.pooled_alloc: slab arena +
-//       chunked EBR retire on the insert/evict hot path).
+//   (3) incremental aggregation       (options.incremental_agg).
 
 #include "bench_util.h"
 
@@ -33,16 +31,13 @@ int main() {
     EngineKind kind;
     bool dynamic_schedule;
     bool incremental;
-    bool pooled;
   };
   const Variant variants[] = {
-      {"key-oij (baseline)", EngineKind::kKeyOij, false, false, false},
-      {"index only", EngineKind::kScaleOij, false, false, false},
-      {"index + dynamic-schedule", EngineKind::kScaleOij, true, false, false},
-      {"index + incremental", EngineKind::kScaleOij, false, true, false},
-      {"index + pooled-alloc", EngineKind::kScaleOij, false, false, true},
-      {"all minus pooled-alloc", EngineKind::kScaleOij, true, true, false},
-      {"all (full scale-oij)", EngineKind::kScaleOij, true, true, true},
+      {"key-oij (baseline)", EngineKind::kKeyOij, false, false},
+      {"index only", EngineKind::kScaleOij, false, false},
+      {"index + dynamic-schedule", EngineKind::kScaleOij, true, false},
+      {"index + incremental", EngineKind::kScaleOij, false, true},
+      {"all (full scale-oij)", EngineKind::kScaleOij, true, true},
   };
 
   for (const Variant& v : variants) {
@@ -50,7 +45,6 @@ int main() {
     options.num_joiners = 16;
     options.dynamic_schedule = v.dynamic_schedule;
     options.incremental_agg = v.incremental;
-    options.pooled_alloc = v.pooled;
     options.rebalance_interval_events = 16384;
     const RunResult r = RunOnce(v.kind, w, q, options);
     std::printf("%-34s %14s %14.3f %14.3f\n", v.label,

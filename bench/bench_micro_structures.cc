@@ -25,7 +25,8 @@ void BM_SkipListInsert(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (auto _ : state) {
     state.PauseTiming();
-    SwmrSkipList<Timestamp, Tuple> list;
+    NodeArena arena;
+    SwmrSkipList<Timestamp, Tuple> list(arena);
     state.ResumeTiming();
     for (int64_t i = 0; i < n; ++i) {
       list.Insert(i, Tuple{i, 0, 1.0});
@@ -43,7 +44,8 @@ BENCHMARK(BM_SkipListInsert)
 
 void BM_SkipListSeek(benchmark::State& state) {
   const int64_t n = state.range(0);
-  SwmrSkipList<Timestamp, Tuple> list;
+  NodeArena arena;
+  SwmrSkipList<Timestamp, Tuple> list(arena);
   for (int64_t i = 0; i < n; ++i) list.Insert(i, Tuple{i, 0, 1.0});
   Rng rng(1);
   for (auto _ : state) {
@@ -62,7 +64,8 @@ BENCHMARK(BM_SkipListSeek)
 /// buffer population, window fixed at 100 tuples.
 void BM_WindowLookup_TimeTravelIndex(benchmark::State& state) {
   const int64_t n = state.range(0);
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   for (int64_t i = 0; i < n; ++i) index.Insert(Tuple{i, 7, 1.0});
   Rng rng(2);
   for (auto _ : state) {
@@ -110,23 +113,19 @@ BENCHMARK(BM_WindowLookup_UnsortedScan)
     ->Arg(bench::ScaledArg(10000, 1000))
     ->Arg(bench::ScaledArg(100000, 1000));
 
-/// The allocation hot path of the pooled_alloc ablation: steady-state
-/// churn of a time-travel index under EBR, interleaved Insert +
-/// EvictBefore at a fixed window population — exactly the regime a
-/// joiner sits in once its window fills. range(0) toggles the arena
-/// (0 = per-node heap alloc + per-node std::function retire, 1 = slab
-/// arena + one RetireBatch per eviction run); range(1) is the window
-/// population. items/s = inserts/s.
+/// The allocation hot path: steady-state churn of a time-travel index
+/// under EBR, interleaved Insert + EvictBefore at a fixed window
+/// population — exactly the regime a joiner sits in once its window
+/// fills (slab arena + one RetireBatch per eviction run). range(0) is the
+/// window population. items/s = inserts/s.
 void BM_ChurnInsertEvict(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
-  const int64_t window = state.range(1);
+  const int64_t window = state.range(0);
   constexpr uint64_t kKeys = 8;
   constexpr int64_t kEvictEvery = 256;
+  NodeArena arena;
   EpochManager ebr(1);
   const uint32_t slot = ebr.RegisterThread();
-  NodeArena arena;
-  TimeTravelIndex index(&ebr, slot, /*seed=*/0x5eed,
-                        pooled ? &arena : nullptr);
+  TimeTravelIndex index(arena, &ebr, slot, /*seed=*/0x5eed);
   Rng rng(11);
   Timestamp ts = 0;
   for (int64_t i = 0; i < window; ++i) {
@@ -142,18 +141,16 @@ void BM_ChurnInsertEvict(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(index.size());
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pooled ? "pooled" : "heap");
 }
 BENCHMARK(BM_ChurnInsertEvict)
-    ->Args({0, bench::ScaledArg(32768, 1024)})
-    ->Args({1, bench::ScaledArg(32768, 1024)})
-    ->Args({0, bench::ScaledArg(65536, 1024)})
-    ->Args({1, bench::ScaledArg(65536, 1024)});
+    ->Arg(bench::ScaledArg(32768, 1024))
+    ->Arg(bench::ScaledArg(65536, 1024));
 
 /// The raw allocator pair underneath the churn number: recycle one slot
 /// of a fixed live population per iteration, arena vs global heap, at a
 /// typical skip-list node size. Isolates allocation cost from list
-/// maintenance.
+/// maintenance; the heap arm is the glibc reference the arena is
+/// measured against.
 void BM_NodeAllocChurn_Arena(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   const size_t kPopulation =
@@ -306,7 +303,8 @@ BENCHMARK(BM_SpscQueueBatchRoundTrip)
 /// the window population, slide step fixed at 16 tuples.
 void BM_IncrementalSlide(benchmark::State& state) {
   const int64_t window = state.range(0);
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   const int64_t n = window * 20;
   for (int64_t i = 0; i < n; ++i) index.Insert(Tuple{i, 1, 1.0});
   auto scan = [&](Timestamp lo, Timestamp hi, auto&& fn) {
@@ -331,7 +329,8 @@ BENCHMARK(BM_IncrementalSlide)
 
 void BM_FullRecompute(benchmark::State& state) {
   const int64_t window = state.range(0);
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   const int64_t n = window * 20;
   for (int64_t i = 0; i < n; ++i) index.Insert(Tuple{i, 1, 1.0});
   Timestamp start = 0;

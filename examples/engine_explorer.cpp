@@ -6,7 +6,7 @@
 //   $ ./build/examples/engine_explorer A scale-oij 8 500000
 //
 // presets: A B C D default adversarial skewed
-// engines: key-oij scale-oij split-join openmldb-like handshake
+// engines: key-oij scale-oij split-join openmldb-like
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   oij::Status s = oij::EngineKindFromName(engine_name, &kind);
   if (!s.ok()) {
     std::fprintf(stderr, "%s (try: key-oij scale-oij split-join "
-                         "openmldb-like handshake)\n",
+                         "openmldb-like)\n",
                  s.ToString().c_str());
     return 1;
   }

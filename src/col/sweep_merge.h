@@ -39,7 +39,7 @@ void ComputeWindowSlices(const Timestamp* base_ts, size_t num_bases,
 /// Gathers every tuple of `key` with ts in [lo, hi] out of one
 /// time-travel index into contiguous probe columns, prefetching each
 /// successor node while the current one is copied (the nodes live on
-/// arena slabs under pooled_alloc, so the walk streams over few lines).
+/// arena slabs, so the walk streams over few lines).
 /// `touch(tuple)` runs per visited tuple (cache-sim hook). Returns the
 /// number gathered. Readers must hold an EpochGuard if the index is
 /// shared, but only for the duration of this call — once gathered, the

@@ -11,7 +11,7 @@ void SetCurrentThreadName(const std::string& name);
 
 /// Pins the calling thread to `cpu` when the platform supports it and the
 /// machine has that many CPUs; silently a no-op otherwise. Joiner threads
-/// use joiner-index pinning when `pin_threads` is enabled in EngineOptions.
+/// are pinned per the NUMA placement plan (EngineOptions::numa).
 void TryPinCurrentThreadTo(int cpu);
 
 /// Number of logical CPUs visible to this process.

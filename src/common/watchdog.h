@@ -47,8 +47,8 @@ struct WatchdogSample {
   uint64_t pushed = 0;               ///< router-side tuples accepted
   uint64_t watermarks = 0;           ///< watermarks actually signaled
 
-  /// Allocator gauges, summed across joiner arenas (zero unless the
-  /// engine runs with EngineOptions::pooled_alloc).
+  /// Allocator gauges, summed across joiner arenas (zero for engines
+  /// without node arenas).
   uint64_t arena_bytes = 0;          ///< slab bytes reserved by the arenas
   uint64_t arena_live_nodes = 0;     ///< nodes resident in the arenas
   uint64_t ebr_retired_backlog = 0;  ///< nodes retired, awaiting epoch drain

@@ -1,6 +1,5 @@
 #include "core/engine_factory.h"
 
-#include "join/handshake.h"
 #include "join/key_oij.h"
 #include "join/scale_oij.h"
 #include "join/shared_state.h"
@@ -18,8 +17,6 @@ std::string_view EngineKindName(EngineKind kind) {
       return "split-join";
     case EngineKind::kSharedState:
       return "openmldb-like";
-    case EngineKind::kHandshake:
-      return "handshake";
   }
   return "?";
 }
@@ -34,8 +31,6 @@ Status EngineKindFromName(std::string_view name, EngineKind* out) {
   } else if (name == "openmldb-like" || name == "openmldb" ||
              name == "shared") {
     *out = EngineKind::kSharedState;
-  } else if (name == "handshake") {
-    *out = EngineKind::kHandshake;
   } else {
     return Status::InvalidArgument("unknown engine: " + std::string(name));
   }
@@ -55,8 +50,6 @@ std::unique_ptr<JoinEngine> CreateEngine(EngineKind kind,
       return std::make_unique<SplitJoinEngine>(spec, options, sink);
     case EngineKind::kSharedState:
       return std::make_unique<SharedStateEngine>(spec, options, sink);
-    case EngineKind::kHandshake:
-      return std::make_unique<HandshakeOijEngine>(spec, options, sink);
   }
   return nullptr;
 }

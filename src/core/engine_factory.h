@@ -14,7 +14,6 @@ enum class EngineKind : uint8_t {
   kScaleOij,       ///< the paper's contribution (Section V)
   kSplitJoin,      ///< SplitJoin adapted to OIJ (Section V-D)
   kSharedState,    ///< OpenMLDB-like shared-table baseline (Section V-E)
-  kHandshake,      ///< handshake join adapted to OIJ (extension baseline)
 };
 
 std::string_view EngineKindName(EngineKind kind);

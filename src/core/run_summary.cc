@@ -65,7 +65,7 @@ std::string SummarizeRun(const std::string& label, const RunResult& run) {
       static_cast<unsigned long long>(st.rebalances));
   out += buf;
 
-  // Memory management: only printed for pooled-alloc (arena) runs.
+  // Memory management: only printed for engines that own node arenas.
   if (st.mem.pooled) {
     std::snprintf(
         buf, sizeof(buf),

@@ -40,13 +40,6 @@ void EpochManager::Exit(uint32_t slot) {
   slots_[slot].local_epoch.store(kQuiescent, std::memory_order_release);
 }
 
-void EpochManager::Retire(uint32_t slot, std::function<void()> deleter) {
-  Slot& s = slots_[slot];
-  s.retired.push_back(
-      {std::move(deleter), global_epoch_.load(std::memory_order_acquire)});
-  s.pending.fetch_add(1, std::memory_order_relaxed);
-}
-
 void EpochManager::RetireBatch(uint32_t slot, void* head, size_t count,
                                DrainFn drain, void* ctx) {
   if (count == 0) return;
@@ -75,18 +68,6 @@ size_t EpochManager::ReclaimSome(uint32_t slot) {
   const uint64_t e = global_epoch_.load(std::memory_order_acquire);
   Slot& s = slots_[slot];
   size_t freed = 0;
-  size_t kept = 0;
-  auto& retired = s.retired;
-  for (size_t i = 0; i < retired.size(); ++i) {
-    if (retired[i].epoch + 2 <= e) {
-      retired[i].deleter();
-      ++freed;
-    } else {
-      if (kept != i) retired[kept] = std::move(retired[i]);
-      ++kept;
-    }
-  }
-  retired.resize(kept);
   // Runs are appended in epoch order, so the ripe ones form a prefix —
   // and draining front-to-back is what keeps chains that end inside a
   // later-retired run safe to walk.
@@ -105,9 +86,7 @@ size_t EpochManager::ReclaimSome(uint32_t slot) {
 
 size_t EpochManager::ReclaimAllUnsafe(uint32_t slot) {
   Slot& s = slots_[slot];
-  size_t freed = s.retired.size();
-  for (auto& r : s.retired) r.deleter();
-  s.retired.clear();
+  size_t freed = 0;
   for (const RetiredRun& run : s.retired_runs) {
     run.drain(run.head, run.count, run.ctx);
     freed += run.count;

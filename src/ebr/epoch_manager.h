@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <vector>
 
 namespace oij {
@@ -22,10 +22,10 @@ namespace oij {
 ///   - Each participating thread calls RegisterThread() once and keeps the
 ///     returned slot id.
 ///   - Readers wrap traversals in `EpochGuard guard(mgr, slot);`.
-///   - The single writer calls Retire() for unlinked nodes and
-///     ReclaimSome() periodically (both are cheap).
+///   - The single writer calls RetireBatch() for each run of unlinked
+///     nodes and ReclaimSome() periodically (both are cheap).
 ///
-/// The implementation is the classic 3-epoch scheme: nodes retired in epoch
+/// The implementation is the classic 3-epoch scheme: runs retired in epoch
 /// e are safe to free once the global epoch has advanced to e + 2, because
 /// any reader active during e has exited or observed a newer epoch.
 class EpochManager {
@@ -46,23 +46,20 @@ class EpochManager {
   /// Leaves the read-side critical section on `slot`.
   void Exit(uint32_t slot);
 
-  /// Schedules `deleter` to run once no reader can still observe the
-  /// retired object. Must be called by the object's single owner thread
-  /// on its own slot (retire lists are slot-local by design).
-  void Retire(uint32_t slot, std::function<void()> deleter);
-
   /// Typed drain callback for RetireBatch: walks `count` objects starting
   /// at `head` (chained however the caller likes — skip lists use the
   /// level-0 forward pointer) and frees each into `ctx`.
   using DrainFn = void (*)(void* head, size_t count, void* ctx);
 
-  /// Retires a whole run of `count` intrusively-chained objects with one
-  /// epoch-list append — no per-object std::function, no heap churn. The
-  /// chain must stay intact until the drain runs (readers may still be
-  /// traversing it, which is the whole point). Runs are drained in retire
-  /// order, so a chain whose tail points into a later-retired run is freed
-  /// before that run. Same owner-thread contract as Retire(). No-op when
-  /// `count` is zero.
+  /// Schedules a whole run of `count` intrusively-chained objects to be
+  /// drained once no reader can still observe them — one epoch-list
+  /// append per run, no per-object callback, no heap churn. The chain must
+  /// stay intact until the drain runs (readers may still be traversing
+  /// it, which is the whole point). Runs are drained in retire order, so a
+  /// chain whose tail points into a later-retired run is freed before that
+  /// run. Must be called by the objects' single owner thread on its own
+  /// slot (retire lists are slot-local by design). No-op when `count` is
+  /// zero.
   void RetireBatch(uint32_t slot, void* head, size_t count, DrainFn drain,
                    void* ctx);
 
@@ -88,11 +85,6 @@ class EpochManager {
   size_t PendingCountAll() const;
 
  private:
-  struct Retired {
-    std::function<void()> deleter;
-    uint64_t epoch;
-  };
-
   struct RetiredRun {
     void* head;
     size_t count;
@@ -105,10 +97,9 @@ class EpochManager {
     /// kQuiescent when outside a critical section, else pinned epoch.
     std::atomic<uint64_t> local_epoch{kQuiescent};
     std::atomic<bool> in_use{false};
-    /// Object-count gauge mirroring retired + retired_runs; written by the
-    /// owner, readable by the metrics sampler.
+    /// Object-count gauge mirroring retired_runs; written by the owner,
+    /// readable by the metrics sampler.
     std::atomic<size_t> pending{0};
-    std::vector<Retired> retired;        // accessed only by the owning thread
     std::vector<RetiredRun> retired_runs;  // accessed only by the owning thread
   };
 

@@ -767,14 +767,10 @@ EngineStats ParallelEngineBase::Finish() {
 
 void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   SetCurrentThreadName("joiner-" + std::to_string(joiner));
-  if (placement_.active) {
-    // Pin per the placement plan; pinning to a CPU the host lacks (fake
-    // topologies, shrunken cpusets) is a silent no-op inside TryPin.
-    if (placement_.joiner_cpu[joiner] >= 0) {
-      TryPinCurrentThreadTo(placement_.joiner_cpu[joiner]);
-    }
-  } else if (options_.pin_threads) {
-    TryPinCurrentThreadTo(static_cast<int>(joiner) % NumCpus());
+  // Pin per the placement plan; pinning to a CPU the host lacks (fake
+  // topologies, shrunken cpusets) is a silent no-op inside TryPin.
+  if (placement_.active && placement_.joiner_cpu[joiner] >= 0) {
+    TryPinCurrentThreadTo(placement_.joiner_cpu[joiner]);
   }
 
   const bool track_util = options_.collect_cpu_util;

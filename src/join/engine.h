@@ -199,13 +199,6 @@ struct EngineOptions {
   /// Scale-OIJ: enable incremental window aggregation (Section V-C).
   bool incremental_agg = true;
 
-  /// Back the time-travel index with a per-joiner slab arena and chunked
-  /// EBR retire instead of the global heap (DESIGN.md "Memory
-  /// management"). Exactness is unaffected; only engines that use the
-  /// index (Scale-OIJ, handshake) react — Key-OIJ/SplitJoin baselines
-  /// stay byte-for-byte faithful either way.
-  bool pooled_alloc = true;
-
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
 
   /// Let the joiners finalize drained base runs through the columnar
@@ -245,10 +238,6 @@ struct EngineOptions {
   /// is unaffected either way: placement moves threads and pages, never
   /// results.
   NumaOptions numa;
-
-  /// Pin joiner threads to CPUs round-robin (legacy flat pinning;
-  /// superseded by an active `numa` placement plan).
-  bool pin_threads = false;
 
   /// Measure per-joiner busy time (the denominator of the Fig 6 time
   /// breakdown). ~2 clock reads per processed burst.
@@ -299,9 +288,9 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// Allocator observability for pooled_alloc runs (mem/node_arena.h),
-/// summed across the engine's joiner arenas. All-zero with `pooled`
-/// false (heap-backed run, or an engine without an index).
+/// Allocator observability (mem/node_arena.h), summed across the engine's
+/// joiner arenas. `pooled` says the engine owns node arenas (Scale-OIJ);
+/// everything is zero for engines without them.
 struct MemStats {
   bool pooled = false;
   uint64_t arena_reserved_bytes = 0;
@@ -363,7 +352,7 @@ struct EngineStats {
   /// Lateness-bound violations and their disposition.
   LateStats late;
 
-  /// Allocator observability (pooled_alloc runs).
+  /// Allocator observability (engines with node arenas).
   MemStats mem;
 
   /// NUMA placement observability (src/topo/, DESIGN.md §5i).

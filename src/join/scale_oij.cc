@@ -37,18 +37,14 @@ ScaleOijEngine::ScaleOijEngine(const QuerySpec& spec,
   states_.reserve(options.num_joiners);
   for (uint32_t j = 0; j < options.num_joiners; ++j) {
     const uint32_t slot = ebr_.RegisterThread();
-    NodeArena* arena = nullptr;
-    if (options.pooled_alloc) {
-      arenas_.push_back(std::make_unique<NodeArena>());
-      arena = arenas_.back().get();
-      if (placement().active) {
-        // Every slab this joiner's index grows onto lands on its own
-        // socket (mbind, or first touch from the pinned thread).
-        arena->SetNumaNode(placement().OsNodeOfJoiner(j));
-      }
+    NodeArena& arena = *arenas_.emplace_back(std::make_unique<NodeArena>());
+    if (placement().active) {
+      // Every slab this joiner's index grows onto lands on its own
+      // socket (mbind, or first touch from the pinned thread).
+      arena.SetNumaNode(placement().OsNodeOfJoiner(j));
     }
     states_.push_back(std::make_unique<JoinerState>(
-        &ebr_, slot, /*seed=*/0x5ca1e + j, arena));
+        arena, &ebr_, slot, /*seed=*/0x5ca1e + j));
     states_.back()->schedule = router_schedule_;
     states_.back()->reach =
         spec.window.pre + (spec.window.pre + spec.window.fol) + 1;
@@ -595,8 +591,8 @@ void ScaleOijEngine::Evict(JoinerState& s) {
 bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
                                           std::vector<StreamEvent>* out) {
   // Consistent cut on the joiner thread (kSnapshot event). The index
-  // walk is the arena-aware part: with pooled_alloc every node lives on
-  // this joiner's contiguous slabs, so the traversal is cache-dense.
+  // walk is the arena-aware part: every node lives on this joiner's
+  // contiguous slabs, so the traversal is cache-dense.
   // Probes first, then unfinalized bases; the per-key incremental
   // window states are *derived* state and are rebuilt (or recomputed
   // lazily) when the replayed tuples re-enter through normal ingest.
@@ -665,15 +661,13 @@ void ScaleOijEngine::CollectStats(EngineStats* stats) {
   stats->rebalances = rebalances_;
   stats->final_schedule_version = router_schedule_->version;
 
-  stats->mem.pooled = !arenas_.empty();
+  stats->mem.pooled = true;
   // One pass over the per-arena counters fills both the engine-wide
   // aggregate and the per-node split (each arena is wholly on its
   // joiner's node, so grouping is by the placement map — no slab walk).
   const PlacementPlan& plan = placement();
-  if (!arenas_.empty()) {
-    stats->numa_node_arena_bytes.assign(plan.num_nodes, 0);
-    stats->numa_node_arena_live_nodes.assign(plan.num_nodes, 0);
-  }
+  stats->numa_node_arena_bytes.assign(plan.num_nodes, 0);
+  stats->numa_node_arena_live_nodes.assign(plan.num_nodes, 0);
   for (size_t j = 0; j < arenas_.size(); ++j) {
     const NodeArena::Stats a = arenas_[j]->snapshot();
     stats->mem.arena_reserved_bytes += a.reserved_bytes;
@@ -697,10 +691,8 @@ void ScaleOijEngine::CollectStats(EngineStats* stats) {
 void ScaleOijEngine::SampleMem(WatchdogSample* sample) const {
   // Watchdog/serving threads: only the relaxed-atomic gauges are touched.
   const PlacementPlan& plan = placement();
-  if (!arenas_.empty()) {
-    sample->per_node_arena_bytes.assign(plan.num_nodes, 0);
-    sample->per_node_arena_live_nodes.assign(plan.num_nodes, 0);
-  }
+  sample->per_node_arena_bytes.assign(plan.num_nodes, 0);
+  sample->per_node_arena_live_nodes.assign(plan.num_nodes, 0);
   for (size_t j = 0; j < arenas_.size(); ++j) {
     const NodeArena::Stats a = arenas_[j]->snapshot();
     sample->arena_bytes += a.reserved_bytes;

@@ -100,13 +100,13 @@ class ScaleOijEngine : public ParallelEngineBase {
   };
 
   struct JoinerState {
-    JoinerState(EpochManager* ebr, uint32_t slot, uint64_t seed,
-                NodeArena* arena)
+    JoinerState(NodeArena& arena, EpochManager* ebr, uint32_t slot,
+                uint64_t seed)
         : ebr_slot(slot),
-          index(ebr, slot, seed, arena),
-          annex(ebr, slot, seed ^ 0xa22e7ULL, /*arena=*/nullptr),
-          stage(arena),
-          probes(arena) {
+          index(arena, ebr, slot, seed),
+          annex(arena, ebr, slot, seed ^ 0xa22e7ULL),
+          stage(&arena),
+          probes(&arena) {
       slots.resize(1);  // ordinal 0: the primary query
     }
 
@@ -115,16 +115,15 @@ class ScaleOijEngine : public ParallelEngineBase {
     /// Annex index for lateness-violating probes (multi-query mode with
     /// at least one best-effort query). Only best-effort queries scan
     /// it, so drop/side-channel queries keep exact, late-free windows
-    /// over the main index. Heap-allocated (no arena): the late path is
-    /// rare by construction.
+    /// over the main index. Shares the joiner's arena and EBR slot with
+    /// `index`.
     TimeTravelIndex annex;
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
     /// Columnar batch kernel scratch (src/col/, reused across drains).
-    /// With pooled_alloc the columns stage on slabs loaned from this
-    /// joiner's own arena, so evicted index slabs recycle straight into
-    /// batch staging.
+    /// The columns stage on slabs loaned from this joiner's own arena, so
+    /// evicted index slabs recycle straight into batch staging.
     col::ColumnarBatchStage stage;
     col::ProbeColumns probes;
     std::vector<col::BaseSlice> slices;
@@ -192,10 +191,10 @@ class ScaleOijEngine : public ParallelEngineBase {
   void Evict(JoinerState& s);
   bool HavePending(const JoinerState& s) const;
 
-  /// Joiner-owned slab arenas (pooled_alloc; empty otherwise). Declared
-  /// before ebr_ and states_: destruction runs states_ (frees live nodes
-  /// into the arenas), then ebr_ (drains retired runs into them), then the
-  /// arenas themselves — matching NodeArena's lifetime contract.
+  /// Joiner-owned slab arenas, one per joiner. Declared before ebr_ and
+  /// states_: destruction runs states_ (frees live nodes into the
+  /// arenas), then ebr_ (drains retired runs into them), then the arenas
+  /// themselves — matching NodeArena's lifetime contract.
   std::vector<std::unique_ptr<NodeArena>> arenas_;
   EpochManager ebr_;
   PartitionTable table_;

@@ -8,12 +8,12 @@
 
 namespace oij {
 
-/// Slab arena for skip-list nodes — the memory-management layer behind
-/// `EngineOptions::pooled_alloc` (DESIGN.md "Memory management").
+/// Slab arena for skip-list nodes — the one allocator behind every
+/// SwmrSkipList and TimeTravelIndex (DESIGN.md "Memory management").
 ///
-/// Why: at steady state every probe tuple costs one global-heap
-/// `::operator new` on insert and one free on evict, so the allocator is
-/// touched twice per tuple on the hottest path in the system, and the
+/// Why: at steady state every probe tuple costs one allocation on insert
+/// and one free on evict; on the global heap that touches the allocator
+/// twice per tuple on the hottest path in the system, and the
 /// nodes of one second-layer end up scattered across the heap. The arena
 /// replaces both touches with a bump pointer / free-list pop inside
 /// 64 KiB cache-line-aligned slabs owned by a single joiner, so

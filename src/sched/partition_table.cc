@@ -8,6 +8,7 @@ std::shared_ptr<const Schedule> Schedule::MakeStatic(uint32_t num_partitions,
   s->version = 0;
   s->num_joiners = num_joiners;
   s->teams.resize(num_partitions);
+  if (num_joiners == 0) return s;
   for (uint32_t p = 0; p < num_partitions; ++p) {
     s->teams[p] = {p % num_joiners};
   }

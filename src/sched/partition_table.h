@@ -35,7 +35,9 @@ struct Schedule {
   }
 
   /// The static one-joiner-per-partition schedule Key-OIJ uses, and the
-  /// starting point for Scale-OIJ's dynamic schedule.
+  /// starting point for Scale-OIJ's dynamic schedule. With no joiners
+  /// every team is empty: engines build their table at construction, and
+  /// that configuration must survive until Start() rejects it.
   static std::shared_ptr<const Schedule> MakeStatic(uint32_t num_partitions,
                                                     uint32_t num_joiners);
 };

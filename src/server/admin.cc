@@ -224,7 +224,7 @@ std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
               {{"joiner", std::to_string(j)}});
   }
 
-  // Allocator gauges (live; zero unless the engine runs pooled_alloc).
+  // Allocator gauges (live; zero for engines without node arenas).
   w.Gauge("oij_arena_bytes",
           "Slab bytes reserved by the joiner-owned node arenas",
           static_cast<double>(snap.progress.arena_bytes));

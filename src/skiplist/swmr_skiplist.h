@@ -40,18 +40,14 @@ class SwmrSkipList {
  public:
   static constexpr int kMaxHeight = 16;
 
-  /// `ebr` + `owner_slot` are used to retire evicted nodes; pass nullptr
-  /// for single-threaded use (nodes are then freed immediately).
-  ///
-  /// `arena` (the `pooled_alloc` path) moves node storage off the global
-  /// heap onto the owner's slab arena and switches eviction from one
-  /// EpochManager::Retire per node to one RetireBatch per evicted run.
-  /// The arena must outlive both this list and `ebr` (see NodeArena's
-  /// lifetime contract); with arena == nullptr behaviour is byte-for-byte
-  /// the pre-arena heap path.
-  explicit SwmrSkipList(EpochManager* ebr = nullptr, uint32_t owner_slot = 0,
-                        uint64_t seed = 0x5eed, NodeArena* arena = nullptr)
-      : ebr_(ebr), owner_slot_(owner_slot), arena_(arena), rng_(seed) {
+  /// Every node, the head included, lives on `arena`, which must outlive
+  /// both this list and `ebr` (see NodeArena's lifetime contract).
+  /// `ebr` + `owner_slot` retire evicted nodes: each evicted run is handed
+  /// to the EpochManager as one RetireBatch entry. Pass nullptr `ebr` for
+  /// single-threaded use; evicted nodes then go straight back to the arena.
+  explicit SwmrSkipList(NodeArena& arena, EpochManager* ebr = nullptr,
+                        uint32_t owner_slot = 0, uint64_t seed = 0x5eed)
+      : ebr_(ebr), owner_slot_(owner_slot), arena_(&arena), rng_(seed) {
     head_ = NewNode(K{}, V{}, kMaxHeight);
   }
 
@@ -194,22 +190,17 @@ class SwmrSkipList {
     // Walk the removed prefix (still linked) and retire it. The prefix's
     // level-0 chain is left untouched — readers inside it still need the
     // forward pointers — which also makes it a ready-made intrusive run:
-    // with an arena the whole prefix is retired as one RetireBatch entry
-    // instead of `removed` std::function deleters.
+    // the whole prefix is retired as one RetireBatch entry.
     size_t removed = 0;
     Node* n = old_first;
     while (n != nullptr && n->key < bound) {
       Node* next = n->Next(0);
       on_remove(n->key, n->value);
-      if (ebr_ == nullptr) {
-        DeleteNode(n, arena_);
-      } else if (arena_ == nullptr) {
-        ebr_->Retire(owner_slot_, [n] { DeleteNode(n, nullptr); });
-      }
+      if (ebr_ == nullptr) DeleteNode(n, arena_);
       ++removed;
       n = next;
     }
-    if (ebr_ != nullptr && arena_ != nullptr && removed > 0) {
+    if (ebr_ != nullptr) {
       ebr_->RetireBatch(owner_slot_, old_first, removed, &DrainRetiredRun,
                         arena_);
     }
@@ -232,10 +223,7 @@ class SwmrSkipList {
 
  private:
   Node* NewNode(const K& key, const V& value, int height) {
-    const size_t bytes = NodeBytes(height);
-    void* mem =
-        arena_ != nullptr ? arena_->Allocate(bytes) : ::operator new(bytes);
-    Node* n = static_cast<Node*>(mem);
+    Node* n = static_cast<Node*>(arena_->Allocate(NodeBytes(height)));
     new (&n->key) K(key);
     new (&n->value) V(value);
     n->height = height;
@@ -249,11 +237,7 @@ class SwmrSkipList {
     const size_t bytes = NodeBytes(n->height);
     n->key.~K();
     n->value.~V();
-    if (arena != nullptr) {
-      arena->Deallocate(static_cast<void*>(n), bytes);
-    } else {
-      ::operator delete(static_cast<void*>(n));
-    }
+    arena->Deallocate(static_cast<void*>(n), bytes);
   }
 
   /// EpochManager::DrainFn for a retired eviction run: the chain is the

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
+#include <new>
 
 #include "common/types.h"
 #include "ebr/epoch_manager.h"
@@ -33,25 +33,20 @@ class TimeTravelIndex {
   using SecondLayer = SwmrSkipList<Timestamp, Tuple>;
   using FirstLayer = SwmrSkipList<Key, SecondLayer*>;
 
-  /// Pass nullptr `ebr` for single-threaded use. With `arena` set (the
-  /// `pooled_alloc` path) every node of every layer — and the second-layer
-  /// list objects themselves — live on the owner's slab arena, which must
-  /// outlive both this index and `ebr`.
-  explicit TimeTravelIndex(EpochManager* ebr = nullptr,
-                           uint32_t owner_slot = 0, uint64_t seed = 0x71e,
-                           NodeArena* arena = nullptr)
-      : ebr_(ebr), owner_slot_(owner_slot), seed_(seed), arena_(arena),
-        first_layer_(ebr, owner_slot, seed, arena) {}
+  /// Every node of every layer — and the second-layer list objects
+  /// themselves — live on `arena`, the owner's slab arena, which must
+  /// outlive both this index and `ebr`. Pass nullptr `ebr` for
+  /// single-threaded use.
+  explicit TimeTravelIndex(NodeArena& arena, EpochManager* ebr = nullptr,
+                           uint32_t owner_slot = 0, uint64_t seed = 0x71e)
+      : ebr_(ebr), owner_slot_(owner_slot), seed_(seed), arena_(&arena),
+        first_layer_(arena, ebr, owner_slot, seed) {}
 
   ~TimeTravelIndex() {
     for (auto it = first_layer_.Begin(); it.Valid(); it.Next()) {
       SecondLayer* layer = it.value();
-      if (arena_ != nullptr) {
-        layer->~SecondLayer();
-        arena_->Deallocate(layer, sizeof(SecondLayer));
-      } else {
-        delete layer;
-      }
+      layer->~SecondLayer();
+      arena_->Deallocate(layer, sizeof(SecondLayer));
     }
   }
 
@@ -91,9 +86,9 @@ class TimeTravelIndex {
 
   /// Invokes `fn(tuple)` for every resident tuple, ordered by key then
   /// timestamp (owner thread, or any reader holding an EpochGuard). The
-  /// durability layer's snapshot walk: with `pooled_alloc` every node
-  /// visited lives on the owner's contiguous NodeArena slabs, so the
-  /// traversal stays cache-dense even at large index sizes.
+  /// durability layer's snapshot walk: every node visited lives on the
+  /// owner's contiguous NodeArena slabs, so the traversal stays
+  /// cache-dense even at large index sizes.
   template <typename Fn>
   void ForEachTuple(Fn&& fn) const {
     for (auto it = first_layer_.Begin(); it.Valid(); it.Next()) {
@@ -139,12 +134,8 @@ class TimeTravelIndex {
     } else {
       // Single writer: no race between the miss above and this insert.
       const uint64_t seed = seed_ ^ (key * 0x9e3779b97f4a7c15ULL);
-      if (arena_ != nullptr) {
-        void* mem = arena_->Allocate(sizeof(SecondLayer));
-        layer = new (mem) SecondLayer(ebr_, owner_slot_, seed, arena_);
-      } else {
-        layer = new SecondLayer(ebr_, owner_slot_, seed);
-      }
+      void* mem = arena_->Allocate(sizeof(SecondLayer));
+      layer = new (mem) SecondLayer(*arena_, ebr_, owner_slot_, seed);
       first_layer_.Insert(key, layer);
     }
     // Owner-only field: readers go through ForEachInRange/FindLayer and

@@ -385,7 +385,8 @@ TEST(SweepMergeTest, EmptyProbesAndDisjointWindows) {
 
 TEST(SweepMergeTest, GatherRangeMatchesForEachInRange) {
   std::mt19937_64 rng(0x6a7eu);
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   for (int i = 0; i < 2000; ++i) {
     Tuple t;
     t.key = static_cast<Key>(rng() % 5);

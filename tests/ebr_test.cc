@@ -2,106 +2,12 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "ebr/epoch_manager.h"
 
 namespace oij {
 namespace {
-
-TEST(EpochManagerTest, RegisterHandsOutDistinctSlots) {
-  EpochManager mgr(4);
-  EXPECT_EQ(mgr.RegisterThread(), 0u);
-  EXPECT_EQ(mgr.RegisterThread(), 1u);
-  EXPECT_EQ(mgr.RegisterThread(), 2u);
-}
-
-TEST(EpochManagerTest, RetiredObjectFreedAfterEpochsAdvance) {
-  EpochManager mgr(2);
-  const uint32_t slot = mgr.RegisterThread();
-  bool freed = false;
-  mgr.Retire(slot, [&freed] { freed = true; });
-  EXPECT_EQ(mgr.PendingCount(slot), 1u);
-
-  // With no active readers, a few reclaim passes advance the epoch twice.
-  size_t total = 0;
-  for (int i = 0; i < 4 && total == 0; ++i) total += mgr.ReclaimSome(slot);
-  EXPECT_EQ(total, 1u);
-  EXPECT_TRUE(freed);
-  EXPECT_EQ(mgr.PendingCount(slot), 0u);
-}
-
-TEST(EpochManagerTest, ActiveReaderBlocksReclamation) {
-  EpochManager mgr(4);
-  const uint32_t writer = mgr.RegisterThread();
-  const uint32_t reader = mgr.RegisterThread();
-
-  mgr.Enter(reader);  // reader pins the current epoch
-  bool freed = false;
-  mgr.Retire(writer, [&freed] { freed = true; });
-
-  for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
-  EXPECT_FALSE(freed) << "object freed while a reader was pinned";
-
-  mgr.Exit(reader);
-  size_t total = 0;
-  for (int i = 0; i < 8 && total == 0; ++i) total += mgr.ReclaimSome(writer);
-  EXPECT_TRUE(freed);
-}
-
-TEST(EpochManagerTest, ReaderInNewerEpochDoesNotBlockOldGarbage) {
-  EpochManager mgr(4);
-  const uint32_t writer = mgr.RegisterThread();
-  const uint32_t reader = mgr.RegisterThread();
-
-  bool freed = false;
-  mgr.Retire(writer, [&freed] { freed = true; });
-
-  // Reader enters *after* the retire: it pins the current (or newer)
-  // epoch, so after two advances the old garbage is reclaimable even
-  // while the reader stays active.
-  for (int i = 0; i < 4; ++i) {
-    mgr.Enter(reader);
-    mgr.ReclaimSome(writer);
-    mgr.Exit(reader);
-  }
-  EXPECT_TRUE(freed);
-}
-
-TEST(EpochManagerTest, ReclaimAllUnsafeFreesEverything) {
-  EpochManager mgr(2);
-  const uint32_t slot = mgr.RegisterThread();
-  int freed = 0;
-  for (int i = 0; i < 10; ++i) mgr.Retire(slot, [&freed] { ++freed; });
-  EXPECT_EQ(mgr.ReclaimAllUnsafe(slot), 10u);
-  EXPECT_EQ(freed, 10);
-}
-
-TEST(EpochManagerTest, DestructorDrainsPending) {
-  int freed = 0;
-  {
-    EpochManager mgr(2);
-    const uint32_t slot = mgr.RegisterThread();
-    mgr.Retire(slot, [&freed] { ++freed; });
-  }
-  EXPECT_EQ(freed, 1);
-}
-
-TEST(EpochManagerTest, GuardIsRaii) {
-  EpochManager mgr(2);
-  const uint32_t writer = mgr.RegisterThread();
-  const uint32_t reader = mgr.RegisterThread();
-  bool freed = false;
-  {
-    EpochGuard guard(mgr, reader);
-    mgr.Retire(writer, [&freed] { freed = true; });
-    for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
-    EXPECT_FALSE(freed);
-  }
-  for (int i = 0; i < 8 && !freed; ++i) mgr.ReclaimSome(writer);
-  EXPECT_TRUE(freed);
-}
-
-// ------------------------------------------------- chunked (batch) retire
 
 /// An intrusively-chained node for RetireBatch tests.
 struct ChainNode {
@@ -128,6 +34,74 @@ ChainNode* MakeChain(int n, int* counter) {
   }
   return head;
 }
+
+/// Retires a one-object run that bumps `counter` when drained.
+void RetireOne(EpochManager& mgr, uint32_t slot, int* counter) {
+  mgr.RetireBatch(slot, MakeChain(1, counter), 1, &DrainChain, nullptr);
+}
+
+TEST(EpochManagerTest, RegisterHandsOutDistinctSlots) {
+  EpochManager mgr(4);
+  EXPECT_EQ(mgr.RegisterThread(), 0u);
+  EXPECT_EQ(mgr.RegisterThread(), 1u);
+  EXPECT_EQ(mgr.RegisterThread(), 2u);
+}
+
+TEST(EpochManagerTest, ReaderInNewerEpochDoesNotBlockOldGarbage) {
+  EpochManager mgr(4);
+  const uint32_t writer = mgr.RegisterThread();
+  const uint32_t reader = mgr.RegisterThread();
+
+  int freed = 0;
+  RetireOne(mgr, writer, &freed);
+
+  // Reader enters *after* the retire: it pins the current (or newer)
+  // epoch, so after two advances the old garbage is reclaimable even
+  // while the reader stays active.
+  for (int i = 0; i < 4; ++i) {
+    mgr.Enter(reader);
+    mgr.ReclaimSome(writer);
+    mgr.Exit(reader);
+  }
+  EXPECT_EQ(freed, 1);
+}
+
+TEST(EpochManagerTest, ReclaimAllUnsafeFreesEverything) {
+  EpochManager mgr(2);
+  const uint32_t slot = mgr.RegisterThread();
+  int freed = 0;
+  for (int i = 0; i < 10; ++i) RetireOne(mgr, slot, &freed);
+  EXPECT_EQ(mgr.ReclaimAllUnsafe(slot), 10u);
+  EXPECT_EQ(freed, 10);
+  EXPECT_EQ(mgr.PendingCount(slot), 0u);
+}
+
+TEST(EpochManagerTest, DestructorDrainsPending) {
+  int freed = 0;
+  {
+    EpochManager mgr(2);
+    const uint32_t slot = mgr.RegisterThread();
+    RetireOne(mgr, slot, &freed);
+  }
+  EXPECT_EQ(freed, 1);
+}
+
+TEST(EpochManagerTest, GuardIsRaii) {
+  EpochManager mgr(2);
+  const uint32_t writer = mgr.RegisterThread();
+  const uint32_t reader = mgr.RegisterThread();
+  int freed = 0;
+  {
+    EpochGuard guard(mgr, reader);
+    RetireOne(mgr, writer, &freed);
+    for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
+    EXPECT_EQ(freed, 0);
+  }
+  for (int i = 0; i < 8 && freed == 0; ++i) mgr.ReclaimSome(writer);
+  EXPECT_EQ(freed, 1);
+}
+
+// ------------------------------------------------- chunked (batch) retire
 
 TEST(EpochManagerTest, RetireBatchCountsAndDrainsWholeRun) {
   EpochManager mgr(2);
@@ -195,21 +169,6 @@ TEST(EpochManagerTest, RunsDrainInRetireOrder) {
   EXPECT_EQ(order[2], 3);
 }
 
-TEST(EpochManagerTest, MixedRetireAndRetireBatchBothDrainOnDestruction) {
-  int freed_single = 0;
-  int freed_batch = 0;
-  {
-    EpochManager mgr(2);
-    const uint32_t slot = mgr.RegisterThread();
-    mgr.Retire(slot, [&freed_single] { ++freed_single; });
-    mgr.RetireBatch(slot, MakeChain(5, &freed_batch), 5, &DrainChain,
-                    nullptr);
-    EXPECT_EQ(mgr.PendingCount(slot), 6u);
-  }
-  EXPECT_EQ(freed_single, 1);
-  EXPECT_EQ(freed_batch, 5);
-}
-
 // Stress: batch-retiring chains while readers enter/exit; every node must
 // drain exactly once and PendingCount must return to zero.
 TEST(EpochManagerTest, ConcurrentBatchStress) {
@@ -245,45 +204,6 @@ TEST(EpochManagerTest, ConcurrentBatchStress) {
   mgr.ReclaimAllUnsafe(writer);
   EXPECT_EQ(freed, kRuns * kRunLen);
   EXPECT_EQ(mgr.PendingCount(writer), 0u);
-}
-
-// Stress: a writer retiring integers while readers enter/exit; every
-// retired object must be freed exactly once and never while any reader
-// that pre-dates its retirement is still pinned.
-TEST(EpochManagerTest, ConcurrentStress) {
-  constexpr int kReaders = 3;
-  constexpr int kObjects = 20000;
-  EpochManager mgr(kReaders + 1);
-  const uint32_t writer = mgr.RegisterThread();
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> freed{0};
-
-  std::vector<std::thread> readers;
-  std::vector<uint32_t> slots;
-  for (int r = 0; r < kReaders; ++r) slots.push_back(mgr.RegisterThread());
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        EpochGuard guard(mgr, slots[r]);
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  for (int i = 0; i < kObjects; ++i) {
-    mgr.Retire(writer, [&freed] {
-      freed.fetch_add(1, std::memory_order_relaxed);
-    });
-    if ((i & 255) == 0) mgr.ReclaimSome(writer);
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-
-  for (int i = 0; i < 16; ++i) mgr.ReclaimSome(writer);
-  // Stragglers are released by the final unsafe reclaim.
-  freed.fetch_add(mgr.ReclaimAllUnsafe(writer));
-  EXPECT_EQ(freed.load(), static_cast<uint64_t>(kObjects));
 }
 
 }  // namespace

@@ -69,9 +69,8 @@ FuzzCase DrawCase(Rng& rng) {
   c.workload.window = c.query.window;
 
   const EngineKind engines[] = {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                                EngineKind::kSplitJoin,
-                                EngineKind::kHandshake};
-  c.kind = engines[rng.NextBelow(4)];
+                                EngineKind::kSplitJoin};
+  c.kind = engines[rng.NextBelow(3)];
   c.options.num_joiners = 1 + static_cast<uint32_t>(rng.NextBelow(6));
   c.options.dynamic_schedule = rng.NextBelow(2) == 0;
   c.options.incremental_agg = rng.NextBelow(2) == 0;

@@ -128,8 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, WatermarkExactnessTest,
     ::testing::Combine(::testing::Values(EngineKind::kKeyOij,
                                          EngineKind::kScaleOij,
-                                         EngineKind::kSplitJoin,
-                                         EngineKind::kHandshake),
+                                         EngineKind::kSplitJoin),
                        ::testing::Values(1, 3, 4),
                        ::testing::Values(11, 12)),
     [](const auto& info) {
@@ -170,7 +169,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(EngineKind::kKeyOij, 4),
                       std::make_tuple(EngineKind::kScaleOij, 4),
                       std::make_tuple(EngineKind::kSplitJoin, 3),
-                      std::make_tuple(EngineKind::kHandshake, 3),
                       std::make_tuple(EngineKind::kSharedState, 1)),
     [](const auto& info) {
       std::string name(EngineKindName(std::get<0>(info.param)));
@@ -457,12 +455,25 @@ TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
 }
 
 TEST(EngineBehaviourTest, StartValidatesOptions) {
-  QuerySpec q = TestQuery(EmitMode::kWatermark);
-  EngineOptions options;
-  options.num_joiners = 0;
-  NullSink sink;
-  auto engine = CreateEngine(EngineKind::kKeyOij, q, options, &sink);
-  EXPECT_FALSE(engine->Start().ok());
+  // Construction must survive an invalid configuration so that Start()
+  // can report it: no engine may divide by a zero joiner or partition
+  // count before validation runs.
+  const QuerySpec q = TestQuery(EmitMode::kWatermark);
+  for (EngineKind kind :
+       {EngineKind::kKeyOij, EngineKind::kScaleOij, EngineKind::kSplitJoin,
+        EngineKind::kSharedState}) {
+    for (const bool zero_joiners : {true, false}) {
+      EngineOptions options;
+      (zero_joiners ? options.num_joiners : options.num_partitions) = 0;
+      NullSink sink;
+      auto engine = CreateEngine(kind, q, options, &sink);
+      const Status s = engine->Start();
+      EXPECT_EQ(s.code(), Status::Code::kInvalidArgument)
+          << EngineKindName(kind)
+          << (zero_joiners ? " num_joiners=0: " : " num_partitions=0: ")
+          << s.ToString();
+    }
+  }
 }
 
 TEST(EngineBehaviourTest, EmptyStreamFinishesCleanly) {

@@ -115,7 +115,7 @@ void ExpectSubsetOfReference(const std::vector<JoinResult>& got,
 
 constexpr EngineKind kAllParallelEngines[] = {
     EngineKind::kKeyOij, EngineKind::kScaleOij, EngineKind::kSplitJoin,
-    EngineKind::kSharedState, EngineKind::kHandshake};
+    EngineKind::kSharedState};
 
 // ---------------------------------------------------------------------------
 // Stalled joiner: Finish must return (bounded) and report the failure.
@@ -289,7 +289,7 @@ TEST(FaultInjectionTest, DropAndCountMatchesPolicyReferenceExactly) {
   // with no disorder handling and is documented as approximate even on
   // a well-behaved stream, so exact equality is not its contract.
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     const std::string label(EngineKindName(kind));
     CollectingSink sink;
     EngineOptions options;

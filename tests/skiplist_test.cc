@@ -17,7 +17,8 @@ namespace {
 // ----------------------------------------------------------- basic shape
 
 TEST(SwmrSkipListTest, EmptyList) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   EXPECT_EQ(list.size(), 0u);
   EXPECT_TRUE(list.empty());
   EXPECT_FALSE(list.Begin().Valid());
@@ -26,7 +27,8 @@ TEST(SwmrSkipListTest, EmptyList) {
 }
 
 TEST(SwmrSkipListTest, InsertAndFind) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   list.Insert(5, 50);
   list.Insert(1, 10);
   list.Insert(3, 30);
@@ -39,7 +41,8 @@ TEST(SwmrSkipListTest, InsertAndFind) {
 }
 
 TEST(SwmrSkipListTest, IterationIsSorted) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   Rng rng(11);
   std::multimap<int64_t, int> model;
   for (int i = 0; i < 2000; ++i) {
@@ -59,7 +62,8 @@ TEST(SwmrSkipListTest, IterationIsSorted) {
 }
 
 TEST(SwmrSkipListTest, SeekGEFindsLowerBound) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   for (int64_t k : {10, 20, 30, 40}) list.Insert(k, static_cast<int>(k));
   EXPECT_EQ(list.SeekGE(5).key(), 10);
   EXPECT_EQ(list.SeekGE(10).key(), 10);
@@ -69,7 +73,8 @@ TEST(SwmrSkipListTest, SeekGEFindsLowerBound) {
 }
 
 TEST(SwmrSkipListTest, DuplicateKeysAllRetained) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   list.Insert(7, 1);
   list.Insert(7, 2);
   list.Insert(7, 3);
@@ -84,22 +89,31 @@ TEST(SwmrSkipListTest, DuplicateKeysAllRetained) {
 // -------------------------------------------------------------- eviction
 
 TEST(SwmrSkipListTest, EvictBeforeRemovesPrefixOnly) {
-  SwmrSkipList<int64_t, int> list;
-  for (int64_t k = 0; k < 100; ++k) list.Insert(k, static_cast<int>(k));
-  EXPECT_EQ(list.EvictBefore(50), 50u);
-  EXPECT_EQ(list.size(), 50u);
-  EXPECT_EQ(list.Begin().key(), 50);
-  EXPECT_EQ(list.FindEqual(49), nullptr);
-  ASSERT_NE(list.FindEqual(50), nullptr);
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
+  for (int64_t k = 0; k < 1000; ++k) list.Insert(k, static_cast<int>(k));
+  EXPECT_EQ(arena.snapshot().live_nodes, 1001u);  // nodes + head
+  // Without EBR, eviction frees straight back into the arena.
+  EXPECT_EQ(list.EvictBefore(500), 500u);
+  EXPECT_EQ(arena.snapshot().live_nodes, 501u);
+  EXPECT_EQ(list.size(), 500u);
+  EXPECT_EQ(list.Begin().key(), 500);
+  EXPECT_EQ(list.FindEqual(499), nullptr);
+  for (int64_t k = 500; k < 1000; ++k) {
+    ASSERT_NE(list.FindEqual(k), nullptr);
+    EXPECT_EQ(*list.FindEqual(k), static_cast<int>(k));
+  }
   // Evicting again at the same bound is a no-op.
-  EXPECT_EQ(list.EvictBefore(50), 0u);
+  EXPECT_EQ(list.EvictBefore(500), 0u);
   // Everything.
-  EXPECT_EQ(list.EvictBefore(1000), 50u);
+  EXPECT_EQ(list.EvictBefore(5000), 500u);
   EXPECT_TRUE(list.empty());
+  EXPECT_EQ(arena.snapshot().live_nodes, 1u);
 }
 
 TEST(SwmrSkipListTest, EvictCallbackSeesRemovedEntries) {
-  SwmrSkipList<int64_t, int> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int> list(arena);
   for (int64_t k = 0; k < 10; ++k) list.Insert(k, static_cast<int>(k * 2));
   std::vector<int64_t> removed;
   list.EvictBefore(4, [&](const int64_t& k, const int& v) {
@@ -109,47 +123,12 @@ TEST(SwmrSkipListTest, EvictCallbackSeesRemovedEntries) {
   EXPECT_EQ(removed, (std::vector<int64_t>{0, 1, 2, 3}));
 }
 
-TEST(SwmrSkipListTest, EvictWithEbrDefersFree) {
+TEST(SwmrSkipListTest, EvictWithEbrRetiresOneRunAndDefersFree) {
+  NodeArena arena;  // outlives `ebr`, which drains into it
   EpochManager ebr(2);
   const uint32_t writer = ebr.RegisterThread();
   const uint32_t reader = ebr.RegisterThread();
-  SwmrSkipList<int64_t, int> list(&ebr, writer);
-  for (int64_t k = 0; k < 10; ++k) list.Insert(k, 0);
-
-  ebr.Enter(reader);
-  EXPECT_EQ(list.EvictBefore(5), 5u);
-  // Nodes retired but not freed while the reader is pinned.
-  EXPECT_EQ(ebr.PendingCount(writer), 5u);
-  ebr.Exit(reader);
-  for (int i = 0; i < 8 && ebr.PendingCount(writer) > 0; ++i) {
-    ebr.ReclaimSome(writer);
-  }
-  EXPECT_EQ(ebr.PendingCount(writer), 0u);
-}
-
-// ------------------------------------------------ arena-backed allocation
-
-TEST(SwmrSkipListTest, ArenaBackedListMatchesHeapBehavior) {
-  NodeArena arena;
-  SwmrSkipList<int64_t, int> list(/*ebr=*/nullptr, 0, 0x5eed, &arena);
-  for (int64_t k = 0; k < 1000; ++k) list.Insert(k, static_cast<int>(k));
-  EXPECT_GT(arena.snapshot().live_nodes, 1000u);  // nodes + head
-  for (int64_t k = 0; k < 1000; ++k) {
-    ASSERT_NE(list.FindEqual(k), nullptr);
-    EXPECT_EQ(*list.FindEqual(k), static_cast<int>(k));
-  }
-  // Without EBR, eviction frees straight back into the arena.
-  EXPECT_EQ(list.EvictBefore(500), 500u);
-  EXPECT_EQ(arena.snapshot().live_nodes, 501u);  // 500 keys + head
-  EXPECT_EQ(list.Begin().key(), 500);
-}
-
-TEST(SwmrSkipListTest, ArenaEvictWithEbrRetiresOneRunAndDrainsAll) {
-  EpochManager ebr(2);
-  const uint32_t writer = ebr.RegisterThread();
-  const uint32_t reader = ebr.RegisterThread();
-  NodeArena arena;
-  SwmrSkipList<int64_t, int> list(&ebr, writer, 0x5eed, &arena);
+  SwmrSkipList<int64_t, int> list(arena, &ebr, writer);
   for (int64_t k = 0; k < 10; ++k) list.Insert(k, 0);
   const uint64_t live_before = arena.snapshot().live_nodes;
 
@@ -167,12 +146,12 @@ TEST(SwmrSkipListTest, ArenaEvictWithEbrRetiresOneRunAndDrainsAll) {
   EXPECT_EQ(arena.snapshot().live_nodes, live_before - 5);
 }
 
-TEST(SwmrSkipListTest, ArenaChurnReachesFixedFootprint) {
+TEST(SwmrSkipListTest, ChurnReachesFixedFootprint) {
   // Steady-state insert+evict must recycle arena memory, not grow it.
+  NodeArena arena;
   EpochManager ebr(1);
   const uint32_t writer = ebr.RegisterThread();
-  NodeArena arena;
-  SwmrSkipList<int64_t, int64_t> list(&ebr, writer, 0x5eed, &arena);
+  SwmrSkipList<int64_t, int64_t> list(arena, &ebr, writer);
   constexpr int64_t kWindow = 4096;
   for (int64_t k = 0; k < kWindow; ++k) list.Insert(k, k);
   // Let the first full window settle (epochs drain), then measure.
@@ -199,11 +178,10 @@ TEST(SwmrSkipListTest, ArenaChurnReachesFixedFootprint) {
   EXPECT_GT(arena.snapshot().slab_recycles, 0u);
 }
 
-TEST(SwmrSkipListTest, ArenaRandomWorkloadMatchesModel) {
-  // The arena-backed list must stay a drop-in: mirror random inserts and
-  // prefix evictions against a multimap model.
+TEST(SwmrSkipListTest, RandomWorkloadMatchesModel) {
+  // Mirror random inserts and prefix evictions against a multimap model.
   NodeArena arena;
-  SwmrSkipList<int64_t, int> list(/*ebr=*/nullptr, 0, 0x1234, &arena);
+  SwmrSkipList<int64_t, int> list(arena, /*ebr=*/nullptr, 0, 0x1234);
   std::multimap<int64_t, int> model;
   Rng rng(77);
   int64_t floor = 0;
@@ -235,7 +213,8 @@ TEST(SwmrSkipListTest, ArenaRandomWorkloadMatchesModel) {
 // A reader hammering lookups while a single writer inserts ascending keys
 // must never observe a torn node or miss a key it already saw published.
 TEST(SwmrSkipListTest, SingleWriterReaderStress) {
-  SwmrSkipList<int64_t, int64_t> list;
+  NodeArena arena;
+  SwmrSkipList<int64_t, int64_t> list(arena);
   constexpr int64_t kN = 30000;
   std::atomic<int64_t> published{-1};
   std::atomic<bool> failed{false};
@@ -263,61 +242,14 @@ TEST(SwmrSkipListTest, SingleWriterReaderStress) {
   EXPECT_FALSE(failed.load());
 }
 
-// Readers scanning ranges while the writer evicts prefixes: scans must
-// stay well-formed (sorted, within bounds) and memory must stay valid.
+// Readers scanning ranges while the writer inserts, evicts whole runs
+// through RetireBatch, and recycles arena slabs: scans must stay
+// well-formed (sorted, within bounds) and memory must stay valid.
 TEST(SwmrSkipListTest, EvictionConcurrentWithReaders) {
-  EpochManager ebr(3);
-  const uint32_t writer = ebr.RegisterThread();
-  SwmrSkipList<int64_t, int64_t> list(&ebr, writer);
-
-  std::atomic<int64_t> head{0};      // everything below is evicted
-  std::atomic<int64_t> tail{0};      // everything below is inserted
-  std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
-
-  auto reader_fn = [&](uint32_t slot) {
-    Rng rng(slot);
-    while (!stop.load(std::memory_order_relaxed)) {
-      EpochGuard guard(ebr, slot);
-      const int64_t lo = head.load(std::memory_order_acquire);
-      int64_t prev = -1;
-      int64_t n = 0;
-      for (auto it = list.SeekGE(lo); it.Valid() && n < 64; it.Next(), ++n) {
-        if (it.key() < prev || it.value() != it.key() * 7) {
-          failed.store(true);
-          return;
-        }
-        prev = it.key();
-      }
-    }
-  };
-  std::thread r1(reader_fn, ebr.RegisterThread());
-  std::thread r2(reader_fn, ebr.RegisterThread());
-
-  for (int64_t k = 0; k < 50000; ++k) {
-    list.Insert(k, k * 7);
-    tail.store(k, std::memory_order_release);
-    if ((k & 1023) == 0 && k > 2000) {
-      const int64_t bound = k - 2000;
-      list.EvictBefore(bound);
-      head.store(bound, std::memory_order_release);
-      ebr.ReclaimSome(writer);
-    }
-  }
-  stop.store(true);
-  r1.join();
-  r2.join();
-  EXPECT_FALSE(failed.load());
-  ebr.ReclaimAllUnsafe(writer);
-}
-
-// Same law on the pooled path: readers scan while the writer inserts,
-// evicts whole runs through RetireBatch, and recycles arena slabs.
-TEST(SwmrSkipListTest, ArenaEvictionConcurrentWithReaders) {
-  EpochManager ebr(3);
-  const uint32_t writer = ebr.RegisterThread();
   NodeArena arena;
-  SwmrSkipList<int64_t, int64_t> list(&ebr, writer, 0x5eed, &arena);
+  EpochManager ebr(3);
+  const uint32_t writer = ebr.RegisterThread();
+  SwmrSkipList<int64_t, int64_t> list(arena, &ebr, writer);
 
   std::atomic<int64_t> head{0};
   std::atomic<bool> stop{false};
@@ -364,7 +296,8 @@ TEST(SwmrSkipListTest, ArenaEvictionConcurrentWithReaders) {
 // ------------------------------------------------------ TimeTravelIndex
 
 TEST(TimeTravelIndexTest, InsertAndRangeScan) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   for (Timestamp ts = 0; ts < 100; ++ts) {
     index.Insert(Tuple{ts, /*key=*/ts % 3, static_cast<double>(ts)});
   }
@@ -385,7 +318,8 @@ TEST(TimeTravelIndexTest, InsertAndRangeScan) {
 }
 
 TEST(TimeTravelIndexTest, UnknownKeyScansNothing) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   index.Insert(Tuple{1, 1, 1.0});
   size_t calls = 0;
   EXPECT_EQ(index.ForEachInRange(99, 0, 100, [&](const Tuple&) { ++calls; }),
@@ -394,7 +328,8 @@ TEST(TimeTravelIndexTest, UnknownKeyScansNothing) {
 }
 
 TEST(TimeTravelIndexTest, InclusiveBoundaries) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   index.Insert(Tuple{10, 5, 1.0});
   index.Insert(Tuple{20, 5, 2.0});
   size_t n = index.ForEachInRange(5, 10, 20, [](const Tuple&) {});
@@ -404,7 +339,8 @@ TEST(TimeTravelIndexTest, InclusiveBoundaries) {
 }
 
 TEST(TimeTravelIndexTest, EvictBeforeAcrossKeys) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   for (Timestamp ts = 0; ts < 90; ++ts) {
     index.Insert(Tuple{ts, ts % 3, 0.0});
   }
@@ -418,7 +354,8 @@ TEST(TimeTravelIndexTest, EvictBeforeAcrossKeys) {
 }
 
 TEST(TimeTravelIndexTest, DuplicateTimestampsSameKey) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   index.Insert(Tuple{7, 1, 1.0});
   index.Insert(Tuple{7, 1, 2.0});
   double sum = 0;
@@ -429,7 +366,8 @@ TEST(TimeTravelIndexTest, DuplicateTimestampsSameKey) {
 }
 
 TEST(TimeTravelIndexTest, FindLayerExposesSecondLevel) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   EXPECT_EQ(index.FindLayer(4), nullptr);
   index.Insert(Tuple{1, 4, 0.0});
   auto* layer = index.FindLayer(4);
@@ -441,7 +379,8 @@ TEST(TimeTravelIndexTest, FindLayerExposesSecondLevel) {
 // was cached, then fully evicted, is still the live layer for its key, so
 // bursty re-inserts through the cache must land where readers look.
 TEST(TimeTravelIndexTest, MruCachedThenEvictedLayerIsNeverStale) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   // Prime the cache with a burst on key 5.
   for (Timestamp ts = 0; ts < 50; ++ts) index.Insert(Tuple{ts, 5, 1.0});
   auto* layer_before = index.FindLayer(5);
@@ -467,12 +406,12 @@ TEST(TimeTravelIndexTest, MruCachedThenEvictedLayerIsNeverStale) {
   EXPECT_EQ(index.ForEachInRange(9, 100, 300, [](const Tuple&) {}), 1u);
 }
 
-TEST(TimeTravelIndexTest, ArenaBackedIndexEndToEnd) {
+TEST(TimeTravelIndexTest, EbrEvictionReturnsEveryNodeToArena) {
+  NodeArena arena;
   EpochManager ebr(1);
   const uint32_t writer = ebr.RegisterThread();
-  NodeArena arena;
   {
-    TimeTravelIndex index(&ebr, writer, 0x71e, &arena);
+    TimeTravelIndex index(arena, &ebr, writer);
     for (Timestamp ts = 0; ts < 3000; ++ts) {
       index.Insert(Tuple{ts, ts % 7, static_cast<double>(ts)});
     }
@@ -498,7 +437,8 @@ TEST(TimeTravelIndexTest, ArenaBackedIndexEndToEnd) {
 // Differential property test: the index behaves exactly like a sorted
 // multimap for random insert/scan sequences.
 TEST(TimeTravelIndexTest, MatchesModelOnRandomWorkload) {
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   std::multimap<std::pair<Key, Timestamp>, double> model;
   Rng rng(123);
   for (int i = 0; i < 5000; ++i) {

@@ -85,7 +85,7 @@ QuerySpec StressQuery() {
 TEST(StressTest, TinyQueuesForceBackpressure) {
   const auto events = Generate(StressWorkload(501));
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     EngineOptions options;
     options.num_joiners = 3;
     options.queue_capacity = 8;  // constant push-side stalls
@@ -99,8 +99,7 @@ TEST(StressTest, PunctuationEveryEvent) {
   // A punctuation after every tuple maximizes eviction/rebalance churn
   // and progress publication.
   const auto events = Generate(StressWorkload(502));
-  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kHandshake}) {
+  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
     EngineOptions options;
     options.num_joiners = 2;
     ExpectExact(kind, events, StressQuery(), options, 1,
@@ -261,35 +260,28 @@ TEST(StressTest, OverloadPoliciesStayLiveAndSubset) {
   }
 }
 
-TEST(StressTest, PooledAllocOnOffBothExact) {
-  // The arena-backed allocation path (pooled_alloc) must be invisible to
-  // results: both settings join the eviction-heavy stress stream exactly.
+TEST(StressTest, HeavyChurnScaleOijExact) {
+  // Tight retention keeps the arena churning — insert, batch retire,
+  // epoch drain, slab recycle — and results must stay exact throughout.
   WorkloadSpec w = StressWorkload(509);
-  w.window = IntervalWindow{150, 0};  // tight retention -> heavy churn
+  w.window = IntervalWindow{150, 0};
   QuerySpec q = StressQuery();
   q.window = w.window;
   const auto events = Generate(w);
-  for (EngineKind kind : {EngineKind::kScaleOij, EngineKind::kHandshake}) {
-    for (bool pooled : {false, true}) {
-      EngineOptions options;
-      options.num_joiners = 3;
-      options.pooled_alloc = pooled;
-      ExpectExact(kind, events, q, options, 64,
-                  std::string(pooled ? "pooled/" : "heap/") +
-                      std::string(EngineKindName(kind)));
-    }
-  }
+  EngineOptions options;
+  options.num_joiners = 3;
+  ExpectExact(EngineKind::kScaleOij, events, q, options, 64, "heavy-churn");
 }
 
-TEST(StressTest, PooledAllocReportsArenaStatsOnlyWhenEnabled) {
+TEST(StressTest, ScaleOijReportsArenaStatsKeyOijReportsNone) {
   const auto events = Generate(StressWorkload(510));
   const QuerySpec q = StressQuery();
-  for (bool pooled : {false, true}) {
+  for (EngineKind kind : {EngineKind::kScaleOij, EngineKind::kKeyOij}) {
+    const bool arenas = kind == EngineKind::kScaleOij;
     CollectingSink sink;
     EngineOptions options;
     options.num_joiners = 2;
-    options.pooled_alloc = pooled;
-    auto engine = CreateEngine(EngineKind::kScaleOij, q, options, &sink);
+    auto engine = CreateEngine(kind, q, options, &sink);
     ASSERT_TRUE(engine->Start().ok());
     WatermarkTracker tracker(q.lateness_us);
     uint64_t n = 0;
@@ -299,8 +291,8 @@ TEST(StressTest, PooledAllocReportsArenaStatsOnlyWhenEnabled) {
       if (++n % 128 == 0) engine->SignalWatermark(tracker.watermark());
     }
     const EngineStats stats = engine->Finish();
-    EXPECT_EQ(stats.mem.pooled, pooled);
-    if (pooled) {
+    EXPECT_EQ(stats.mem.pooled, arenas) << EngineKindName(kind);
+    if (arenas) {
       EXPECT_GT(stats.mem.arena_reserved_bytes, 0u);
       EXPECT_GT(stats.mem.arena_allocations, 0u);
     } else {
@@ -310,10 +302,10 @@ TEST(StressTest, PooledAllocReportsArenaStatsOnlyWhenEnabled) {
   }
 }
 
-TEST(StressTest, PooledAllocMatchesPolicyReferenceUnderLateFlood) {
-  // Differential exactness against the policy-aware oracle with the arena
-  // enabled: late-tuple gating, eviction, and chunked reclamation compose
-  // without changing what is emitted.
+TEST(StressTest, ScaleOijMatchesPolicyReferenceUnderLateFlood) {
+  // Differential exactness against the policy-aware oracle: late-tuple
+  // gating, eviction, and chunked reclamation compose without changing
+  // what is emitted.
   WorkloadSpec w = StressWorkload(511);
   w.late_flood_fraction = 0.15;
   w.late_flood_extra_us = 50;
@@ -324,42 +316,37 @@ TEST(StressTest, PooledAllocMatchesPolicyReferenceUnderLateFlood) {
   auto expected = ReferenceJoinWithPolicy(events, q, wm_every);
   SortResults(&expected);
 
-  for (EngineKind kind : {EngineKind::kScaleOij, EngineKind::kHandshake}) {
-    const std::string label =
-        std::string("pooled-late/") + std::string(EngineKindName(kind));
-    CollectingSink sink;
-    EngineOptions options;
-    options.num_joiners = 3;
-    options.pooled_alloc = true;
-    auto engine = CreateEngine(kind, q, options, &sink);
-    ASSERT_TRUE(engine->Start().ok()) << label;
-    WatermarkTracker tracker(q.lateness_us);
-    uint64_t n = 0;
-    for (const StreamEvent& ev : events) {
-      tracker.Observe(ev.tuple.ts);
-      engine->Push(ev, MonotonicNowUs());
-      if (++n % wm_every == 0) engine->SignalWatermark(tracker.watermark());
-    }
-    engine->Finish();
-
-    std::vector<ReferenceResult> got;
-    for (const JoinResult& r : sink.TakeResults()) {
-      got.push_back({r.base, r.aggregate, r.match_count});
-    }
-    SortResults(&got);
-    ASSERT_EQ(got.size(), expected.size()) << label;
-    size_t bad = 0;
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].match_count != expected[i].match_count) ++bad;
-    }
-    EXPECT_EQ(bad, 0u) << label;
+  CollectingSink sink;
+  EngineOptions options;
+  options.num_joiners = 3;
+  auto engine = CreateEngine(EngineKind::kScaleOij, q, options, &sink);
+  ASSERT_TRUE(engine->Start().ok());
+  WatermarkTracker tracker(q.lateness_us);
+  uint64_t n = 0;
+  for (const StreamEvent& ev : events) {
+    tracker.Observe(ev.tuple.ts);
+    engine->Push(ev, MonotonicNowUs());
+    if (++n % wm_every == 0) engine->SignalWatermark(tracker.watermark());
   }
+  engine->Finish();
+
+  std::vector<ReferenceResult> got;
+  for (const JoinResult& r : sink.TakeResults()) {
+    got.push_back({r.base, r.aggregate, r.match_count});
+  }
+  SortResults(&got);
+  ASSERT_EQ(got.size(), expected.size());
+  size_t bad = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].match_count != expected[i].match_count) ++bad;
+  }
+  EXPECT_EQ(bad, 0u);
 }
 
 TEST(StressTest, SingleJoinerDegeneratesGracefully) {
   const auto events = Generate(StressWorkload(507));
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     EngineOptions options;
     options.num_joiners = 1;
     options.num_partitions = 1;

@@ -5,7 +5,7 @@
 //                                  the "default" preset)
 //     --sql "<query>"              compile the query from SQL instead
 //     --engine <name>              key-oij|scale-oij|split-join|
-//                                  openmldb-like|handshake (default scale-oij)
+//                                  openmldb-like (default scale-oij)
 //     --joiners <n>                joiner threads (default 4)
 //     --batch <n>                  router->joiner transport batch size
 //     --emit <eager|watermark>     emit mode (default watermark: exact
