@@ -1,7 +1,8 @@
 // Columnar batch-join kernel sweep (DESIGN.md §5h): throughput of the
-// sweep/SIMD path (EngineOptions::columnar_batch, default on) against the
-// byte-for-byte legacy scalar path, as a function of the finalized batch
-// size (bases released per watermark) and the distinct-key count.
+// sweep/SIMD path against the per-base path (forced everywhere by
+// EngineOptions::columnar_min_run = UINT32_MAX), as a function of the
+// finalized batch size (bases released per watermark) and the
+// distinct-key count.
 //
 // The driver pushes rounds of a probe-heavy mix — kProbesPerRound probe
 // tuples spread across each round, then exactly `batch` base tuples, then
@@ -51,9 +52,8 @@ RunOutcome DriveRounds(EngineKind kind, uint32_t keys, uint32_t batch,
 
   EngineOptions options;
   options.num_joiners = 1;  // the whole batch drains as one staged run
-  options.columnar_batch = columnar;
+  if (!columnar) options.columnar_min_run = UINT32_MAX;
   options.enable_watchdog = false;
-  options.collect_breakdown = true;
 
   NullSink sink;
   auto engine = CreateEngine(kind, query, options, &sink);

@@ -46,10 +46,7 @@ Status EngineOptions::Validate() const {
   if (batch_flush_us < 0) {
     return Status::InvalidArgument("batch_flush_us must be non-negative");
   }
-  if (drop_wait_us < 0) {
-    return Status::InvalidArgument("drop_wait_us must be non-negative");
-  }
-  if (columnar_batch && columnar_min_run < 2) {
+  if (columnar_min_run < 2) {
     return Status::InvalidArgument(
         "columnar_min_run must be >= 2 (a run of one base is always "
         "cheaper scalar)");
@@ -516,12 +513,8 @@ void ParallelEngineBase::EnqueueTo(uint32_t joiner, const Event& event) {
       break;
     }
     case OverloadPolicy::kDropNewest: {
-      const int64_t deadline =
-          options_.drop_wait_us > 0
-              ? MonotonicNowNs() + options_.drop_wait_us * 1000
-              : 0;
-      const PushResult r = queues_[joiner]->PushBounded(event, deadline,
-                                                        &stop_);
+      const PushResult r =
+          queues_[joiner]->PushBounded(event, /*deadline_ns=*/0, &stop_);
       if (r != PushResult::kOk) {
         ++dropped_per_joiner_[joiner];
         ++overload_dropped_;
@@ -576,18 +569,13 @@ void ParallelEngineBase::PushTupleBatch(uint32_t joiner, const Event* events,
       break;
     }
     case OverloadPolicy::kDropNewest: {
-      int64_t deadline = deadline_ns;
-      if (deadline < 0) {
-        deadline = options_.drop_wait_us > 0
-                       ? MonotonicNowNs() + options_.drop_wait_us * 1000
-                       : 0;
-      }
+      // Drops at once, unless Finish bounds the wait with its deadline.
       size_t i = 0;
       while (i < n) {
         i += queue.PushBatch(events + i, n - i);
         if (i >= n) break;
-        if (stop_.load(std::memory_order_acquire) || deadline == 0 ||
-            MonotonicNowNs() >= deadline) {
+        if (stop_.load(std::memory_order_acquire) || deadline_ns <= 0 ||
+            MonotonicNowNs() >= deadline_ns) {
           dropped_per_joiner_[joiner] += n - i;
           overload_dropped_ += n - i;
           return;
@@ -753,9 +741,7 @@ EngineStats ParallelEngineBase::Finish() {
     stats.numa_joiner_node = placement_.joiner_node;
   }
   CollectStats(&stats);
-  if (options_.collect_breakdown) {
-    for (int64_t b : busy_ns_) stats.breakdown.busy_ns += b;
-  }
+  for (int64_t b : busy_ns_) stats.breakdown.busy_ns += b;
   if (options_.collect_cpu_util) {
     const int64_t now = MonotonicNowNs();
     for (auto& tracker : util_trackers_) {
@@ -774,7 +760,10 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   }
 
   const bool track_util = options_.collect_cpu_util;
-  const bool track_busy = track_util || options_.collect_breakdown;
+  auto add_busy = [&](int64_t start, int64_t end) {
+    busy_ns_[joiner] += end - start;
+    if (track_util) util_trackers_[joiner].AddBusy(start, end);
+  };
   const bool inject = options_.fault_injector != nullptr;
   uint64_t events_seen = 0;
   Backoff backoff;
@@ -787,13 +776,14 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   while (!flushed && !aborted && !stop_requested()) {
     size_t got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     if (got == 0) {
-      OnIdle(joiner);
+      const int64_t idle_start = MonotonicNowNs();
+      if (OnIdle(joiner)) add_busy(idle_start, MonotonicNowNs());
       backoff.Pause();
       continue;
     }
     backoff.Reset();
 
-    const int64_t busy_start = track_busy ? MonotonicNowNs() : 0;
+    const int64_t busy_start = MonotonicNowNs();
     // Drain a burst: everything currently queued plus the batch in hand.
     do {
       uint64_t processed = 0;
@@ -846,11 +836,7 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
       got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     } while (got > 0);
 
-    if (track_busy) {
-      const int64_t busy_end = MonotonicNowNs();
-      busy_ns_[joiner] += busy_end - busy_start;
-      if (track_util) util_trackers_[joiner].AddBusy(busy_start, busy_end);
-    }
+    add_busy(busy_start, MonotonicNowNs());
   }
   exited_.fetch_add(1, std::memory_order_release);
 }

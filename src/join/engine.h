@@ -151,8 +151,9 @@ enum class OverloadPolicy : uint8_t {
   /// Wait (stop-token aware) until the ring drains: lossless, but a slow
   /// joiner backpressures the whole input. Seed behavior.
   kBlock = 0,
-  /// Wait up to EngineOptions::drop_wait_us, then drop the incoming
-  /// tuple. Bounds router latency; sheds the newest data first.
+  /// Drop the incoming tuple at once (only Finish's bounded flush waits,
+  /// up to its deadline). Bounds router latency; sheds the newest data
+  /// first.
   kDropNewest,
   /// Stage overflow in a router-side spill buffer and shed the *oldest*
   /// buffered tuples beyond its capacity. Keeps the freshest data (the
@@ -201,28 +202,13 @@ struct EngineOptions {
 
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
 
-  /// Let the joiners finalize drained base runs through the columnar
-  /// batch kernels: transpose the ready bases into SoA columns, locate
-  /// each key-group's window boundary in the index once, sweep the
-  /// sorted run, and aggregate contiguous payload slices with
-  /// SIMD/prefetch. Exactness is unaffected (differential-tested
-  /// against the scalar path and the reference oracle across policies);
-  /// off = byte-for-byte legacy per-tuple path.
-  bool columnar_batch = true;
-
-  /// Minimum ready bases in one drain before the columnar path engages;
-  /// smaller runs take the scalar path (the transpose/sort overhead
-  /// only amortizes at batch sizes around this default).
+  /// Minimum ready bases in one drain before the joiners finalize them
+  /// through the columnar kernels (SoA transpose, one index gather per
+  /// key-group, sweep, SIMD aggregation); shorter runs join one base at
+  /// a time, because the transpose/sort only amortizes at batch sizes
+  /// around this default. Results are identical either way. Must be
+  /// >= 2; UINT32_MAX keeps every drain on the per-base path.
   uint32_t columnar_min_run = 16;
-
-  /// Minimum bases in one sorted key-group before that group is swept
-  /// columnar; smaller groups replay through the scalar kernel even
-  /// inside a columnar drain. A group of one or two bases has nothing
-  /// to amortize the per-group gather against (a run of N keys × 1 base
-  /// would otherwise pay N gathers for zero sharing), so high-key-count
-  /// batches degrade gracefully to the legacy cost instead of
-  /// regressing. 0 or 1 sweeps every group.
-  uint32_t columnar_min_group = 4;
 
   /// Scale-OIJ: router events between rebalance attempts.
   uint32_t rebalance_interval_events = 32768;
@@ -239,10 +225,6 @@ struct EngineOptions {
   /// results.
   NumaOptions numa;
 
-  /// Measure per-joiner busy time (the denominator of the Fig 6 time
-  /// breakdown). ~2 clock reads per processed burst.
-  bool collect_breakdown = true;
-
   /// Record per-joiner utilization-over-time series (Fig 14).
   bool collect_cpu_util = false;
   int64_t cpu_util_interval_ns = 100'000'000;
@@ -255,10 +237,6 @@ struct EngineOptions {
   /// degradation semantics") ---
 
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-
-  /// kDropNewest: how long the router waits on a full ring before
-  /// dropping the tuple. 0 = drop immediately.
-  int64_t drop_wait_us = 0;
 
   /// kShedOldest: max tuples staged per joiner before the oldest staged
   /// tuples are shed. 0 defaults to queue_capacity.
@@ -546,7 +524,8 @@ class ParallelEngineBase : public JoinEngine {
 
   /// Called when the joiner's queue is momentarily empty; engines poll
   /// deferred work (pending base tuples waiting on teammates) here.
-  virtual void OnIdle(uint32_t /*joiner*/) {}
+  /// Returns whether it did any: that call then counts as busy time.
+  virtual bool OnIdle(uint32_t /*joiner*/) { return false; }
 
   /// Final drain before the joiner thread exits.
   virtual void OnFlush(uint32_t /*joiner*/) {}
@@ -630,7 +609,8 @@ class ParallelEngineBase : public JoinEngine {
   /// Per-joiner utilization trackers (populated when collect_cpu_util).
   std::vector<CpuUtilTracker> util_trackers_;
 
-  /// Per-joiner total busy nanoseconds (when collect_breakdown).
+  /// Per-joiner total busy nanoseconds: event bursts plus OnIdle calls
+  /// that did work.
   std::vector<int64_t> busy_ns_;
 
  private:

@@ -1,8 +1,6 @@
 #include "join/key_oij.h"
 
 #include <algorithm>
-#include <bit>
-#include <tuple>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -89,44 +87,52 @@ void KeyOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
   Evict(s);
 }
 
+template <typename Fn>
+void KeyOijEngine::ScanKey(JoinerState& s, const QuerySpec& qspec, Key key,
+                           Fn&& fn) {
+  auto scan = [&](const std::unordered_map<Key, std::vector<Tuple>>& buckets) {
+    auto it = buckets.find(key);
+    if (it == buckets.end()) return;
+    for (const Tuple& r : it->second) {
+      s.cache_probe.Touch(&r);
+      fn(r);
+    }
+  };
+  scan(s.buffers);
+  if (qspec.late_policy == LatePolicy::kBestEffortJoin && !s.annex.empty()) {
+    scan(s.annex);
+  }
+}
+
 void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
   const Timestamp threshold = FinalizeThreshold(s);
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
-    QuerySlot& qs = s.slots[q->ord];
-    if (!options().columnar_batch) {
-      while (!qs.pending.empty() &&
-             qs.pending.top().tuple.ts + q->spec.window.fol <= threshold) {
-        const PendingBase pb = qs.pending.top();
-        qs.pending.pop();
-        JoinOne(s, *q, pb.tuple, pb.arrival_us);
-      }
-      continue;
-    }
-    // Columnar path: release the whole finalize-ready run into the
-    // stage first, then join it key-group at a time. Pop order is
-    // non-decreasing ts, which SortByKey preserves within each group
-    // (stable sort) — the sweep-merge precondition.
-    s.stage.Clear();
-    while (!qs.pending.empty() &&
-           qs.pending.top().tuple.ts + q->spec.window.fol <= threshold) {
-      const PendingBase pb = qs.pending.top();
-      qs.pending.pop();
-      s.stage.Append(pb.tuple, pb.arrival_us);
-    }
-    if (s.stage.empty()) continue;
-    if (s.stage.size() < options().columnar_min_run) {
-      // Short runs are cheaper scalar: replay in pop order, exactly
-      // the sequence the legacy loop would have produced.
-      for (size_t i = 0; i < s.stage.size(); ++i) {
-        JoinOne(s, *q, s.stage.TupleAt(i), s.stage.ArrivalAt(i));
-      }
-      continue;
-    }
-    s.stage.SortByKey();
-    s.stage.ForEachGroup([&](Key key, size_t begin, size_t end) {
-      JoinGroupColumnar(s, *q, key, begin, end);
-    });
+    const QuerySpec& qspec = q->spec;
+    s.driver.Drain(
+        s.slots[q->ord].pending, qspec.window, options().columnar_min_run,
+        FinalizeDriver::kMinGroup, s,
+        [&](const Tuple& t) { return t.ts + qspec.window.fol <= threshold; },
+        [&](const Tuple& base, int64_t arrival_us) {
+          JoinOne(s, *q, base, arrival_us);
+        },
+        // One transpose of the key's buffer per group replaces one full
+        // scan per base.
+        [&](Key key, Timestamp, Timestamp, col::ProbeColumns* probes) {
+          uint64_t visited = 0;
+          ScanKey(s, qspec, key, [&](const Tuple& r) {
+            ++visited;
+            probes->Append(r.ts, r.payload);
+          });
+          return visited;
+        },
+        [&](const ColumnarGroup& g) {
+          for (size_t i = 0; i < g.size; ++i) {
+            const AggState agg = g.Aggregate(i).ToAggState();
+            s.CountJoinOp(agg.count, g.gathered);
+            Emit(s, *q, g.Base(i), g.Arrival(i), agg);
+          }
+        });
   }
 }
 
@@ -136,31 +142,16 @@ void KeyOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
   const Timestamp start = qspec.window.start_for(base.ts);
   const Timestamp end = qspec.window.end_for(base.ts);
 
-  // Lookup: the full scan over the key's buffer. The buffer is unsorted,
-  // so every stored tuple of the key must be visited and filtered.
-  // Best-effort queries additionally scan the late-probe annex.
+  // Lookup: the buffer is unsorted, so every stored tuple of the key
+  // must be visited and filtered.
   s.scratch_matches.clear();
   uint64_t op_visited = 0;
   {
     ScopedTimerNs timer(&s.breakdown.lookup_ns);
-    auto scan_bucket = [&](const std::unordered_map<Key,
-                                                    std::vector<Tuple>>&
-                               buckets) {
-      auto it = buckets.find(base.key);
-      if (it == buckets.end()) return;
-      for (const Tuple& r : it->second) {
-        ++op_visited;
-        s.cache_probe.Touch(&r);
-        if (r.ts >= start && r.ts <= end) {
-          s.scratch_matches.push_back(&r);
-        }
-      }
-    };
-    scan_bucket(s.buffers);
-    if (qspec.late_policy == LatePolicy::kBestEffortJoin &&
-        !s.annex.empty()) {
-      scan_bucket(s.annex);
-    }
+    ScanKey(s, qspec, base.key, [&](const Tuple& r) {
+      ++op_visited;
+      if (r.ts >= start && r.ts <= end) s.scratch_matches.push_back(&r);
+    });
   }
 
   // Match: aggregate the in-window tuples.
@@ -173,105 +164,8 @@ void KeyOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
   }
 
   s.visited += op_visited;
-  s.matched += s.scratch_matches.size();
-  s.effectiveness_sum +=
-      op_visited == 0
-          ? 1.0
-          : static_cast<double>(s.scratch_matches.size()) /
-                static_cast<double>(op_visited);
-  ++s.join_ops;
-
+  s.CountJoinOp(s.scratch_matches.size(), op_visited);
   Emit(s, query, base, arrival_us, agg);
-}
-
-void KeyOijEngine::JoinGroupColumnar(JoinerState& s, QueryRuntime& query,
-                                     Key key, size_t begin, size_t end) {
-  const QuerySpec& qspec = query.spec;
-  const size_t num_bases = end - begin;
-
-  if (num_bases < options().columnar_min_group) {
-    // Too few bases to amortize the per-group gather + sort; the scalar
-    // kernel is cheaper. Same replay the NaN fallback below uses.
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(s, query, s.stage.SortedTuple(i), s.stage.SortedArrival(i));
-    }
-    return;
-  }
-
-  // Stage 1 (lookup leg): transpose the key's unsorted buffer — and the
-  // late-probe annex for best-effort queries — into contiguous probe
-  // columns, then ts-sort them once. This replaces one full scan *per
-  // base* with one transpose + sort *per group*.
-  s.probes.Clear();
-  uint64_t group_visited = 0;
-  {
-    ScopedTimerNs timer(&s.breakdown.lookup_ns);
-    auto gather_bucket = [&](const std::unordered_map<Key,
-                                                      std::vector<Tuple>>&
-                                 buckets) {
-      auto it = buckets.find(key);
-      if (it == buckets.end()) return;
-      for (const Tuple& r : it->second) {
-        s.cache_probe.Touch(&r);
-        s.probes.Append(r.ts, r.payload);
-        ++group_visited;
-      }
-    };
-    gather_bucket(s.buffers);
-    if (qspec.late_policy == LatePolicy::kBestEffortJoin &&
-        !s.annex.empty()) {
-      gather_bucket(s.annex);
-    }
-    s.probes.EnsureSorted();
-  }
-
-  if (!s.probes.all_finite()) {
-    // NaN/Inf payloads would diverge under the SIMD min/max lanes;
-    // replay this group through the scalar path instead.
-    ++s.columnar_fallbacks;
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(s, query, s.stage.SortedTuple(i), s.stage.SortedArrival(i));
-    }
-    return;
-  }
-
-  // Stage 2 (sweep merge): locate every base's window boundaries with
-  // two monotone cursors over the sorted columns.
-  s.group_ts.resize(num_bases);
-  for (size_t i = 0; i < num_bases; ++i) {
-    s.group_ts[i] = s.stage.SortedTs(begin + i);
-  }
-  s.slices.resize(num_bases);
-  {
-    ScopedTimerNs timer(&s.breakdown.lookup_ns);
-    col::ComputeWindowSlices(s.group_ts.data(), num_bases, qspec.window,
-                             s.probes.ts(), s.probes.size(),
-                             s.slices.data());
-  }
-
-  // Stage 3 (vector aggregate): reduce each slice and emit.
-  {
-    ScopedTimerNs timer(&s.breakdown.match_ns);
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      const col::SliceAgg sa =
-          col::AggregateSlice(s.probes.payload() + sl.lo, sl.hi - sl.lo);
-      const AggState agg = sa.ToAggState();
-      s.matched += agg.count;
-      s.effectiveness_sum +=
-          group_visited == 0
-              ? 1.0
-              : std::min(1.0, static_cast<double>(agg.count) /
-                                  static_cast<double>(group_visited));
-      ++s.join_ops;
-      Emit(s, query, s.stage.SortedTuple(begin + i),
-           s.stage.SortedArrival(begin + i), agg);
-    }
-  }
-  // The buffer was walked once for the whole group, not once per base.
-  s.visited += group_visited;
-  s.columnar_bases += num_bases;
-  ++s.columnar_groups;
 }
 
 void KeyOijEngine::Emit(JoinerState& s, QueryRuntime& query,
@@ -332,52 +226,12 @@ bool KeyOijEngine::CollectSnapshotState(uint32_t joiner,
       out->push_back(ev);
     }
   }
-  std::vector<Tuple> bases;
-  for (const QuerySlot& qs : s.slots) {
-    auto pending = qs.pending;
-    while (!pending.empty()) {
-      bases.push_back(pending.top().tuple);
-      pending.pop();
-    }
-  }
-  auto tuple_key = [](const Tuple& t) {
-    return std::make_tuple(t.ts, t.key, std::bit_cast<uint64_t>(t.payload));
-  };
-  std::sort(bases.begin(), bases.end(), [&](const Tuple& a, const Tuple& b) {
-    return tuple_key(a) < tuple_key(b);
-  });
-  bases.erase(std::unique(bases.begin(), bases.end(),
-                          [&](const Tuple& a, const Tuple& b) {
-                            return tuple_key(a) == tuple_key(b);
-                          }),
-              bases.end());
-  for (const Tuple& t : bases) {
-    StreamEvent ev;
-    ev.stream = StreamId::kBase;
-    ev.tuple = t;
-    out->push_back(ev);
-  }
+  AppendPendingBases(s.slots, out);
   return true;
 }
 
 void KeyOijEngine::CollectStats(EngineStats* stats) {
-  stats->per_joiner_processed.resize(states_.size());
-  for (size_t j = 0; j < states_.size(); ++j) {
-    JoinerState& s = *states_[j];
-    stats->per_joiner_processed[j] = s.processed;
-    stats->results += s.join_ops;
-    stats->visited += s.visited;
-    stats->matched += s.matched;
-    stats->effectiveness_sum += s.effectiveness_sum;
-    stats->join_ops += s.join_ops;
-    stats->breakdown.Merge(s.breakdown);
-    stats->latency.Merge(s.latency);
-    stats->evicted_tuples += s.evicted;
-    stats->peak_buffered_tuples += s.peak_buffered;
-    stats->columnar_bases += s.columnar_bases;
-    stats->columnar_groups += s.columnar_groups;
-    stats->columnar_fallbacks += s.columnar_fallbacks;
-  }
+  for (const auto& s : states_) s->MergeInto(stats);
 }
 
 }  // namespace oij

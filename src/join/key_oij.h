@@ -2,13 +2,11 @@
 #define OIJ_JOIN_KEY_OIJ_H_
 
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
-#include "col/column_batch.h"
-#include "col/sweep_merge.h"
 #include "join/engine.h"
+#include "join/finalize_driver.h"
 
 namespace oij {
 
@@ -41,27 +39,16 @@ class KeyOijEngine : public ParallelEngineBase {
                             std::vector<StreamEvent>* out) override;
 
  private:
-  struct PendingBase {
-    Tuple tuple;
-    int64_t arrival_us;
-
-    bool operator>(const PendingBase& other) const {
-      return tuple.ts > other.tuple.ts;
-    }
-  };
-
   /// Per-(joiner, query) pending bases, indexed by query ordinal; every
   /// query gates finalization on its own FOL offset but scans the one
   /// shared set of per-key buffers.
   struct QuerySlot {
-    std::priority_queue<PendingBase, std::vector<PendingBase>,
-                        std::greater<PendingBase>>
-        pending;
+    PendingQueue pending;
   };
 
   /// All state owned by one joiner thread; padded out to its own cache
   /// lines via unique_ptr indirection.
-  struct JoinerState {
+  struct JoinerState : JoinerCounters {
     std::unordered_map<Key, std::vector<Tuple>> buffers;
     /// Lateness-violating probes, quarantined so drop/side-channel
     /// queries keep exact windows; only best-effort queries scan these.
@@ -70,17 +57,8 @@ class KeyOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots{1};  ///< indexed by query ordinal
     std::vector<const Tuple*> scratch_matches;
 
-    /// Columnar batch kernel scratch (src/col/, reused across drains):
-    /// drained base runs, the transposed+sorted key buffer, and the
-    /// per-base window slices of the sweep. Heap-backed — Key-OIJ has
-    /// no arena; Scale-OIJ's counterpart stages on slab loans.
-    col::ColumnarBatchStage stage;
-    col::ProbeColumns probes;
-    std::vector<col::BaseSlice> slices;
-    std::vector<Timestamp> group_ts;
-    uint64_t columnar_bases = 0;
-    uint64_t columnar_groups = 0;
-    uint64_t columnar_fallbacks = 0;
+    /// Heap-backed: Key-OIJ has no arena.
+    FinalizeDriver driver;
 
     /// Max (PRE + FOL) over every query this joiner has ever been told
     /// about — monotone, bounds eviction.
@@ -89,30 +67,21 @@ class KeyOijEngine : public ParallelEngineBase {
     Timestamp max_seen = kMinTimestamp;
     Timestamp last_wm = kMinTimestamp;
 
-    uint64_t processed = 0;
     uint64_t buffered = 0;
-    uint64_t peak_buffered = 0;
-    uint64_t evicted = 0;
-    uint64_t visited = 0;
-    uint64_t matched = 0;
-    double effectiveness_sum = 0.0;
-    uint64_t join_ops = 0;
-    TimeBreakdown breakdown;
-    LatencyRecorder latency;
-    SampledCacheProbe cache_probe;
   };
 
   /// Event-time threshold below which base tuples may finalize.
   Timestamp FinalizeThreshold(const JoinerState& s) const;
 
   void DrainPending(uint32_t joiner, JoinerState& s);
+  /// Calls fn(tuple) for every stored tuple of `key` the query may join:
+  /// the key's whole unsorted buffer, plus the late-probe annex for
+  /// best-effort queries.
+  template <typename Fn>
+  static void ScanKey(JoinerState& s, const QuerySpec& qspec, Key key,
+                      Fn&& fn);
   void JoinOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
                int64_t arrival_us);
-  /// Columnar path: joins one key-group of the staged run (positions
-  /// [begin, end) of the sorted stage) against the key's buffer in a
-  /// single transpose + sweep instead of one full scan per base.
-  void JoinGroupColumnar(JoinerState& s, QueryRuntime& query, Key key,
-                         size_t begin, size_t end);
   /// Shared result-emission tail of both join paths.
   void Emit(JoinerState& s, QueryRuntime& query, const Tuple& base,
             int64_t arrival_us, const AggState& agg);

@@ -1,10 +1,8 @@
 #include "join/scale_oij.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <thread>
-#include <tuple>
 
 #include "common/clock.h"
 
@@ -211,9 +209,9 @@ void ScaleOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
   Evict(s);
 }
 
-void ScaleOijEngine::OnIdle(uint32_t joiner) {
+bool ScaleOijEngine::OnIdle(uint32_t joiner) {
   // Teammate progress may have advanced while our queue is empty.
-  DrainPending(joiner, *states_[joiner]);
+  return DrainPending(joiner, *states_[joiner]);
 }
 
 bool ScaleOijEngine::HavePending(const JoinerState& s) const {
@@ -236,76 +234,81 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
   PublishReadFloor(s);
 }
 
-void ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
+bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
   if (s.schedule == nullptr) s.schedule = table_.Snapshot();
   bool popped = false;
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
-    QuerySlot& qs = s.slots[q->ord];
-    if (!options().columnar_batch) {
-      while (!qs.pending.empty()) {
-        const PendingBase top = qs.pending.top();
-        const uint32_t p = PartitionTable::PartitionOf(
-            top.tuple.key, options().num_partitions);
-        const Timestamp window_end = q->spec.window.end_for(top.tuple.ts);
-        if (window_end > TeamMinProgress(s.schedule->teams[p])) break;
-        qs.pending.pop();
-        popped = true;
-        JoinOne(joiner, s, *q, qs, top.tuple, top.arrival_us);
-      }
-      continue;
-    }
-    // Columnar path: release the whole team-progress-gated run into the
-    // stage first (the gate is checked per pop exactly as the scalar
-    // loop does), then join it key-group at a time. Pop order is
-    // non-decreasing ts, which the stable key sort preserves within
-    // each group — the sweep-merge precondition.
-    s.stage.Clear();
-    while (!qs.pending.empty()) {
-      const PendingBase top = qs.pending.top();
-      const uint32_t p = PartitionTable::PartitionOf(
-          top.tuple.key, options().num_partitions);
-      const Timestamp window_end = q->spec.window.end_for(top.tuple.ts);
-      if (window_end > TeamMinProgress(s.schedule->teams[p])) break;
-      qs.pending.pop();
-      popped = true;
-      s.stage.Append(top.tuple, top.arrival_us);
-    }
-    if (s.stage.empty()) continue;
-    if (s.stage.size() < options().columnar_min_run) {
-      // Short runs are cheaper scalar: replay in pop order, exactly
-      // the sequence the legacy loop would have produced.
-      for (size_t i = 0; i < s.stage.size(); ++i) {
-        JoinOne(joiner, s, *q, qs, s.stage.TupleAt(i), s.stage.ArrivalAt(i));
-      }
-      continue;
-    }
-    s.stage.SortByKey();
-    s.stage.ForEachGroup([&](Key key, size_t begin, size_t end) {
-      JoinGroupColumnar(joiner, s, *q, qs, key, begin, end);
-    });
+    const QuerySpec& qspec = q->spec;
+    QuerySlot& slot = s.slots[q->ord];
+    // The invertible incremental path carries window state across
+    // drains and only pays each base's delta, while the columnar gather
+    // re-reads the group's whole union window: that only pays off once
+    // the saved per-base index descents outweigh the re-read (~2x the
+    // generic group floor, empirically).
+    const uint32_t min_group =
+        options().incremental_agg && IsInvertible(qspec.agg)
+            ? 2 * FinalizeDriver::kMinGroup
+            : FinalizeDriver::kMinGroup;
+    // Loaded once per group by its gather; the emit must agree with it.
+    bool scan_annex = false;
+    popped |= s.driver.Drain(
+        slot.pending, qspec.window, options().columnar_min_run, min_group, s,
+        [&](const Tuple& t) {
+          const uint32_t p =
+              PartitionTable::PartitionOf(t.key, options().num_partitions);
+          return qspec.window.end_for(t.ts) <=
+                 TeamMinProgress(s.schedule->teams[p]);
+        },
+        [&](const Tuple& base, int64_t arrival_us) {
+          JoinOne(s, *q, slot, base, arrival_us);
+        },
+        // One SeekGE per team member covers every base of the group; the
+        // per-base path would descend once per (base, member). The epoch
+        // guard is held only here: once gathered, the batch is decoupled
+        // from index memory.
+        [&](Key key, Timestamp lo, Timestamp hi, col::ProbeColumns* probes) {
+          scan_annex = ScanAnnex(qspec);
+          const uint32_t p =
+              PartitionTable::PartitionOf(key, options().num_partitions);
+          auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
+          uint64_t gathered = 0;
+          EpochGuard guard(ebr_, s.ebr_slot);
+          for (uint32_t m : s.schedule->teams[p]) {
+            gathered +=
+                col::GatherRange(states_[m]->index, key, lo, hi, probes, touch);
+            if (scan_annex) {
+              gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
+                                           probes, touch);
+            }
+          }
+          return gathered;
+        },
+        [&](const ColumnarGroup& g) { EmitGroup(s, *q, slot, g, scan_annex); });
   }
   if (popped) PublishReadFloor(s);
+  return popped;
 }
 
-void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
-                             QueryRuntime& query, QuerySlot& slot,
-                             const Tuple& base, int64_t arrival_us) {
-  (void)joiner;
+bool ScaleOijEngine::ScanAnnex(const QuerySpec& qspec) const {
+  // Once any late probe entered an annex, best-effort queries trade
+  // their incremental window states for full main+annex scans (the
+  // annex breaks the in-order precondition incremental slides rely on).
+  // Exact-policy queries never scan the annex and keep sliding.
+  return qspec.late_policy == LatePolicy::kBestEffortJoin &&
+         annex_dirty_.load(std::memory_order_acquire);
+}
+
+void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
+                             QuerySlot& slot, const Tuple& base,
+                             int64_t arrival_us) {
   const QuerySpec& qspec = query.spec;
   const Timestamp start = qspec.window.start_for(base.ts);
   const Timestamp end = qspec.window.end_for(base.ts);
   const uint32_t p =
       PartitionTable::PartitionOf(base.key, options().num_partitions);
   const std::vector<uint32_t>& team = s.schedule->teams[p];
-
-  // Once any late probe entered an annex, best-effort queries trade
-  // their incremental window states for full main+annex scans (the
-  // annex breaks the in-order precondition incremental slides rely on).
-  // Exact-policy queries never scan the annex and keep sliding.
-  const bool scan_annex =
-      qspec.late_policy == LatePolicy::kBestEffortJoin &&
-      annex_dirty_.load(std::memory_order_acquire);
+  const bool scan_annex = ScanAnnex(qspec);
 
   uint64_t op_visited = 0;
   double result_value = 0.0;
@@ -337,12 +340,7 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
     if (!scan_annex && options().incremental_agg &&
         IsInvertible(qspec.agg)) {
       IncrementalWindowState& inc = slot.inc_states[base.key];
-      const auto slide = inc.Slide(start, end, qspec.agg, scan);
-      if (slide.recomputed) {
-        ++s.recomputes;
-      } else {
-        ++s.incremental_slides;
-      }
+      inc.Slide(start, end, qspec.agg, scan);
       result_value = inc.agg().Result(qspec.agg);
       result_count = inc.agg().count;
       out_sum = inc.agg().sum;  // min/max not maintained incrementally
@@ -350,12 +348,7 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
       // Non-invertible (min/max): Two-Stacks incremental window.
       NonInvertibleWindowState& ni =
           slot.ni_states.try_emplace(base.key, qspec.agg).first->second;
-      const auto slide = ni.Slide(start, end, scan);
-      if (slide.recomputed) {
-        ++s.recomputes;
-      } else {
-        ++s.incremental_slides;
-      }
+      ni.Slide(start, end, scan);
       result_count = ni.count();
       result_value = result_count == 0
                          ? std::numeric_limits<double>::quiet_NaN()
@@ -366,7 +359,6 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
     } else {
       AggState agg;
       scan(start, end, [&](const Tuple& t) { agg.Add(t.payload); });
-      ++s.recomputes;
       result_value = agg.Result(qspec.agg);
       result_count = agg.count;
       out_sum = agg.sum;
@@ -378,182 +370,63 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
   }
 
   s.visited += op_visited;
-  s.matched += result_count;
-  // Incremental slides can visit fewer tuples than are in the window;
-  // effectiveness (Eq. 1) is defined on [0, 1], so clamp.
-  s.effectiveness_sum +=
-      op_visited == 0 ? 1.0
-                      : std::min(1.0, static_cast<double>(result_count) /
-                                          static_cast<double>(op_visited));
-  ++s.join_ops;
-
+  s.CountJoinOp(result_count, op_visited);
   EmitOne(s, query, base, arrival_us, result_value, result_count, out_sum,
           out_min, out_max);
 }
 
-void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
-                                       QueryRuntime& query, QuerySlot& slot,
-                                       Key key, size_t begin, size_t end) {
+void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
+                               QuerySlot& slot, const ColumnarGroup& g,
+                               bool scan_annex) {
   const QuerySpec& qspec = query.spec;
-  const size_t num_bases = end - begin;
-
-  // Engagement gate. The bar is higher when the scalar alternative is
-  // the invertible incremental path: that baseline carries window state
-  // across drains and only pays the *delta* per base, while the columnar
-  // gather re-reads the group's whole union window — which only pays off
-  // once the saved per-base index descents outweigh the re-read (~2x the
-  // generic group floor, empirically).
-  uint32_t min_group = options().columnar_min_group;
-  if (options().incremental_agg && IsInvertible(qspec.agg)) {
-    min_group = std::max(min_group, 2 * options().columnar_min_group);
-  }
-  if (num_bases < min_group) {
-    // Same replay the NaN fallback below uses.
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(joiner, s, query, slot, s.stage.SortedTuple(i),
-              s.stage.SortedArrival(i));
-    }
-    return;
-  }
-
-  const uint32_t p =
-      PartitionTable::PartitionOf(key, options().num_partitions);
-  const std::vector<uint32_t>& team = s.schedule->teams[p];
-  const bool scan_annex =
-      qspec.late_policy == LatePolicy::kBestEffortJoin &&
-      annex_dirty_.load(std::memory_order_acquire);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-
-  ScopedTimerNs timer(&s.breakdown.match_ns);
-
-  // The group's base timestamps, sorted (stable key sort kept pop
-  // order), and the union of their windows.
-  s.group_ts.resize(num_bases);
-  for (size_t i = 0; i < num_bases; ++i) {
-    s.group_ts[i] = s.stage.SortedTs(begin + i);
-  }
-  const Timestamp lo = qspec.window.start_for(s.group_ts[0]);
-  const Timestamp hi = qspec.window.end_for(s.group_ts[num_bases - 1]);
-
-  // Stage 1 (gather): one SeekGE per team member covers every base of
-  // the group; the scalar path would descend once per (base, member).
-  // The epoch guard is only held here — once gathered, the batch is
-  // decoupled from index memory.
-  s.probes.Clear();
-  uint64_t gathered = 0;
-  {
-    EpochGuard guard(ebr_, s.ebr_slot);
-    auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
-    for (uint32_t m : team) {
-      gathered +=
-          col::GatherRange(states_[m]->index, key, lo, hi, &s.probes, touch);
-      if (scan_annex) {
-        gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
-                                     &s.probes, touch);
-      }
-    }
-  }
-  s.probes.EnsureSorted();
-
-  if (!s.probes.all_finite()) {
-    // NaN/Inf payloads would diverge under the SIMD min/max lanes;
-    // replay this group through the scalar path instead.
-    ++s.columnar_fallbacks;
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(joiner, s, query, slot, s.stage.SortedTuple(i),
-              s.stage.SortedArrival(i));
-    }
-    return;
-  }
-
-  // Stage 2 (sweep merge): per-base window slices from two monotone
-  // cursors.
-  s.slices.resize(num_bases);
-  col::ComputeWindowSlices(s.group_ts.data(), num_bases, qspec.window,
-                           s.probes.ts(), s.probes.size(), s.slices.data());
-
-  // Stage 3 (vector aggregate + emit), mirroring the scalar path's
-  // result-field contract per configuration.
   const bool incremental = !scan_annex && options().incremental_agg;
   if (incremental && IsInvertible(qspec.agg)) {
-    // Invertible fast path: exclusive prefix sums turn every window sum
-    // into two loads and a subtract. Scalar emits sum/count only here
-    // (min/max are not maintained incrementally), so we do the same.
-    s.prefix.resize(s.probes.size() + 1);
-    col::PrefixSums(s.probes.payload(), s.probes.size(), s.prefix.data());
+    // Exclusive prefix sums turn every window sum into two loads and a
+    // subtract. JoinOne emits sum/count only here (min/max are not
+    // maintained incrementally), so we do the same.
+    s.prefix.resize(g.probes->size() + 1);
+    col::PrefixSums(g.probes->payload(), g.probes->size(), s.prefix.data());
     AggState agg;
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      agg.sum = s.prefix[sl.hi] - s.prefix[sl.lo];
-      agg.count = sl.hi - sl.lo;
-      s.matched += agg.count;
-      s.effectiveness_sum +=
-          gathered == 0 ? 1.0
-                        : std::min(1.0, static_cast<double>(agg.count) /
-                                            static_cast<double>(gathered));
-      ++s.join_ops;
-      ++s.incremental_slides;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), agg.Result(qspec.agg),
+    for (size_t i = 0; i < g.size; ++i) {
+      agg.sum = s.prefix[g.slices[i].hi] - s.prefix[g.slices[i].lo];
+      agg.count = g.slices[i].hi - g.slices[i].lo;
+      s.CountJoinOp(agg.count, g.gathered);
+      EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
               agg.count, agg.sum, nan, nan);
     }
     // Hand the last window's aggregate to the key's incremental state:
-    // a later scalar slide must start from *this* window, or its
+    // a later per-base slide must start from *this* window, or its
     // subtract-scan could reach below the published read floor (the
     // floor budgets for at most one window below the next start).
-    slot.inc_states[key].Reseed(
-        qspec.window.start_for(s.group_ts[num_bases - 1]),
-        qspec.window.end_for(s.group_ts[num_bases - 1]), agg);
+    const Timestamp last = g.Base(g.size - 1).ts;
+    slot.inc_states[g.key].Reseed(qspec.window.start_for(last),
+                                  qspec.window.end_for(last), agg);
   } else if (incremental) {
-    // Non-invertible (min/max): scalar emits only the requested extreme.
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      const col::SliceAgg sa =
-          col::AggregateSlice(s.probes.payload() + sl.lo, sl.hi - sl.lo);
+    // Non-invertible (min/max): JoinOne emits only the requested extreme.
+    for (size_t i = 0; i < g.size; ++i) {
+      const col::SliceAgg sa = g.Aggregate(i);
       const double extreme = qspec.agg == AggKind::kMin ? sa.min : sa.max;
-      const double value = sa.count == 0 ? nan : extreme;
-      s.matched += sa.count;
-      s.effectiveness_sum +=
-          gathered == 0 ? 1.0
-                        : std::min(1.0, static_cast<double>(sa.count) /
-                                            static_cast<double>(gathered));
-      ++s.join_ops;
-      ++s.recomputes;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), value, sa.count, nan,
+      s.CountJoinOp(sa.count, g.gathered);
+      EmitOne(s, query, g.Base(i), g.Arrival(i),
+              sa.count == 0 ? nan : extreme, sa.count, nan,
               qspec.agg == AggKind::kMin && sa.count > 0 ? sa.min : nan,
               qspec.agg == AggKind::kMax && sa.count > 0 ? sa.max : nan);
     }
-    // The Two-Stacks FIFO (if armed) no longer matches the last scalar
+    // The Two-Stacks FIFO (if armed) no longer matches the last per-base
     // window; force its next slide to recompute.
-    auto it = slot.ni_states.find(key);
+    auto it = slot.ni_states.find(g.key);
     if (it != slot.ni_states.end()) it->second.Invalidate();
   } else {
-    // Full-scan configuration: scalar emits the complete window stats.
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      const col::SliceAgg sa =
-          col::AggregateSlice(s.probes.payload() + sl.lo, sl.hi - sl.lo);
-      const AggState agg = sa.ToAggState();
-      s.matched += agg.count;
-      s.effectiveness_sum +=
-          gathered == 0 ? 1.0
-                        : std::min(1.0, static_cast<double>(agg.count) /
-                                            static_cast<double>(gathered));
-      ++s.join_ops;
-      ++s.recomputes;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), agg.Result(qspec.agg),
+    // Full-scan configuration: JoinOne emits the complete window stats.
+    for (size_t i = 0; i < g.size; ++i) {
+      const AggState agg = g.Aggregate(i).ToAggState();
+      s.CountJoinOp(agg.count, g.gathered);
+      EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
               agg.count, agg.sum, agg.count > 0 ? agg.min : nan,
               agg.count > 0 ? agg.max : nan);
     }
   }
-
-  // The team's indexes were walked once for the whole group, not once
-  // per base.
-  s.visited += gathered;
-  s.columnar_bases += num_bases;
-  ++s.columnar_groups;
 }
 
 void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
@@ -612,52 +485,12 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
     ev.tuple = t;
     out->push_back(ev);
   });
-  std::vector<Tuple> bases;
-  for (const QuerySlot& qs : s.slots) {
-    auto pending = qs.pending;
-    while (!pending.empty()) {
-      bases.push_back(pending.top().tuple);
-      pending.pop();
-    }
-  }
-  auto tuple_key = [](const Tuple& t) {
-    return std::make_tuple(t.ts, t.key, std::bit_cast<uint64_t>(t.payload));
-  };
-  std::sort(bases.begin(), bases.end(), [&](const Tuple& a, const Tuple& b) {
-    return tuple_key(a) < tuple_key(b);
-  });
-  bases.erase(std::unique(bases.begin(), bases.end(),
-                          [&](const Tuple& a, const Tuple& b) {
-                            return tuple_key(a) == tuple_key(b);
-                          }),
-              bases.end());
-  for (const Tuple& t : bases) {
-    StreamEvent ev;
-    ev.stream = StreamId::kBase;
-    ev.tuple = t;
-    out->push_back(ev);
-  }
+  AppendPendingBases(s.slots, out);
   return true;
 }
 
 void ScaleOijEngine::CollectStats(EngineStats* stats) {
-  stats->per_joiner_processed.resize(states_.size());
-  for (size_t j = 0; j < states_.size(); ++j) {
-    JoinerState& s = *states_[j];
-    stats->per_joiner_processed[j] = s.processed;
-    stats->results += s.join_ops;
-    stats->visited += s.visited;
-    stats->matched += s.matched;
-    stats->effectiveness_sum += s.effectiveness_sum;
-    stats->join_ops += s.join_ops;
-    stats->breakdown.Merge(s.breakdown);
-    stats->latency.Merge(s.latency);
-    stats->evicted_tuples += s.evicted;
-    stats->peak_buffered_tuples += s.peak_buffered;
-    stats->columnar_bases += s.columnar_bases;
-    stats->columnar_groups += s.columnar_groups;
-    stats->columnar_fallbacks += s.columnar_fallbacks;
-  }
+  for (const auto& s : states_) s->MergeInto(stats);
   stats->rebalances = rebalances_;
   stats->final_schedule_version = router_schedule_->version;
 

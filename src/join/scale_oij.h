@@ -3,14 +3,12 @@
 
 #include <atomic>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
-#include "col/column_batch.h"
-#include "col/sweep_merge.h"
 #include "ebr/epoch_manager.h"
 #include "join/engine.h"
+#include "join/finalize_driver.h"
 #include "mem/node_arena.h"
 #include "sched/load_stats.h"
 #include "sched/partition_table.h"
@@ -66,7 +64,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   void Route(const Event& event) override;
   void OnTuple(uint32_t joiner, const Event& event) override;
   void OnWatermark(uint32_t joiner, Timestamp watermark) override;
-  void OnIdle(uint32_t joiner) override;
+  bool OnIdle(uint32_t joiner) override;
   void OnFlush(uint32_t joiner) override;
   bool SupportsMultiQuery() const override { return true; }
   void OnAddQuery(uint32_t joiner, QueryRuntime& query) override;
@@ -76,37 +74,25 @@ class ScaleOijEngine : public ParallelEngineBase {
                             std::vector<StreamEvent>* out) override;
 
  private:
-  struct PendingBase {
-    Tuple tuple;
-    int64_t arrival_us;
-
-    bool operator>(const PendingBase& other) const {
-      return tuple.ts > other.tuple.ts;
-    }
-  };
-
   /// Per-(joiner, query) runtime state, indexed by query ordinal. Every
   /// standing query keeps its own pending bases (its window end gates
   /// finalization) and its own incremental window states, but all of
   /// them read the one shared time-travel index.
   struct QuerySlot {
-    std::priority_queue<PendingBase, std::vector<PendingBase>,
-                        std::greater<PendingBase>>
-        pending;
+    PendingQueue pending;
     /// Per-key running windows: Subtract-on-Evict for invertible
     /// aggregates, Two-Stacks for non-invertible ones (min/max).
     std::unordered_map<Key, IncrementalWindowState> inc_states;
     std::unordered_map<Key, NonInvertibleWindowState> ni_states;
   };
 
-  struct JoinerState {
+  struct JoinerState : JoinerCounters {
     JoinerState(NodeArena& arena, EpochManager* ebr, uint32_t slot,
                 uint64_t seed)
         : ebr_slot(slot),
           index(arena, ebr, slot, seed),
           annex(arena, ebr, slot, seed ^ 0xa22e7ULL),
-          stage(&arena),
-          probes(&arena) {
+          driver(&arena) {
       slots.resize(1);  // ordinal 0: the primary query
     }
 
@@ -121,17 +107,10 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
-    /// Columnar batch kernel scratch (src/col/, reused across drains).
-    /// The columns stage on slabs loaned from this joiner's own arena, so
-    /// evicted index slabs recycle straight into batch staging.
-    col::ColumnarBatchStage stage;
-    col::ProbeColumns probes;
-    std::vector<col::BaseSlice> slices;
-    std::vector<Timestamp> group_ts;
-    std::vector<double> prefix;
-    uint64_t columnar_bases = 0;
-    uint64_t columnar_groups = 0;
-    uint64_t columnar_fallbacks = 0;
+    /// Stages on slabs loaned from this joiner's own arena, so evicted
+    /// index slabs recycle straight into batch staging.
+    FinalizeDriver driver;
+    std::vector<double> prefix;  ///< invertible columnar emit scratch
 
     /// Max window reach over every query this joiner has ever been told
     /// about (monotone — removed queries keep contributing, so already
@@ -149,19 +128,6 @@ class ScaleOijEngine : public ParallelEngineBase {
 
     Timestamp max_seen = kMinTimestamp;
     Timestamp last_wm = kMinTimestamp;
-
-    uint64_t processed = 0;
-    uint64_t evicted = 0;
-    uint64_t peak_buffered = 0;
-    uint64_t visited = 0;
-    uint64_t matched = 0;
-    double effectiveness_sum = 0.0;
-    uint64_t join_ops = 0;
-    uint64_t incremental_slides = 0;
-    uint64_t recomputes = 0;
-    TimeBreakdown breakdown;
-    LatencyRecorder latency;
-    SampledCacheProbe cache_probe;
   };
 
   Timestamp LocalProgress(const JoinerState& s) const;
@@ -173,17 +139,18 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 
-  void DrainPending(uint32_t joiner, JoinerState& s);
-  void JoinOne(uint32_t joiner, JoinerState& s, QueryRuntime& query,
-               QuerySlot& slot, const Tuple& base, int64_t arrival_us);
-  /// Columnar path: joins one key-group of the staged run (positions
-  /// [begin, end) of the sorted stage) with one gather from the team's
-  /// indexes + one sweep, instead of one index descent per base. Keeps
-  /// the per-key incremental window states consistent (Reseed /
-  /// Invalidate) so interleaved scalar slides stay eviction-safe.
-  void JoinGroupColumnar(uint32_t joiner, JoinerState& s,
-                         QueryRuntime& query, QuerySlot& slot, Key key,
-                         size_t begin, size_t end);
+  /// Finalizes every ready base; returns whether any was popped.
+  bool DrainPending(uint32_t joiner, JoinerState& s);
+  /// Whether `qspec` must also scan the late-probe annexes.
+  bool ScanAnnex(const QuerySpec& qspec) const;
+  void JoinOne(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
+               const Tuple& base, int64_t arrival_us);
+  /// Columnar emit of one gathered key-group, mirroring JoinOne's result
+  /// fields per configuration. Keeps the per-key incremental window
+  /// states consistent (Reseed / Invalidate) so interleaved per-base
+  /// slides stay eviction-safe.
+  void EmitGroup(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
+                 const ColumnarGroup& g, bool scan_annex);
   /// Shared result-emission tail of both join paths.
   void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
                int64_t arrival_us, double value, uint64_t count,

@@ -1,9 +1,9 @@
 #ifndef OIJ_SCHED_PARTITION_TABLE_H_
 #define OIJ_SCHED_PARTITION_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/hash.h"
@@ -43,18 +43,25 @@ struct Schedule {
 };
 
 /// Atomically published schedule (paper: "atomically replaced after a new
-/// schedule"). The router publishes; router and joiners snapshot.
+/// schedule"). The router publishes; router and joiners snapshot. A mutex
+/// guards the pointer rather than std::atomic<std::shared_ptr>: libstdc++
+/// 12 releases that type's internal lock with a relaxed store, which
+/// leaves ThreadSanitizer without a happens-before edge. Joiners snapshot
+/// once per punctuation, so the lock is off the per-tuple path.
 class PartitionTable {
  public:
   PartitionTable(uint32_t num_partitions, uint32_t num_joiners)
       : current_(Schedule::MakeStatic(num_partitions, num_joiners)) {}
 
   std::shared_ptr<const Schedule> Snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   void Publish(std::shared_ptr<const Schedule> schedule) {
-    current_.store(std::move(schedule), std::memory_order_release);
+    // Swap under the lock; the old schedule is released after it.
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(schedule);
   }
 
   /// Partition of a key (shared by every component so routing and stats
@@ -64,7 +71,8 @@ class PartitionTable {
   }
 
  private:
-  std::atomic<std::shared_ptr<const Schedule>> current_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const Schedule> current_;  // guarded by mu_
 };
 
 }  // namespace oij

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -529,9 +530,8 @@ TEST_P(ColumnarDifferentialTest, OnOffOracleAgreeAcrossPolicies) {
 
   EngineOptions on;
   on.num_joiners = 3;
-  on.columnar_batch = true;
   EngineOptions off = on;
-  off.columnar_batch = false;
+  off.columnar_min_run = UINT32_MAX;
 
   const auto run_on = RunOverEvents(kind, events, q, on, kWmEvery);
   const auto run_off = RunOverEvents(kind, events, q, off, kWmEvery);
@@ -678,7 +678,7 @@ TEST(ColumnarEngineTest, NaNPayloadsFallBackToScalarPath) {
   // exact prefix sums — recovers as soon as the NaN leaves the window.
   on.incremental_agg = false;
   EngineOptions off = on;
-  off.columnar_batch = false;
+  off.columnar_min_run = UINT32_MAX;
 
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
     const auto run_on = RunOverEvents(kind, events, q, on, 256);
@@ -723,7 +723,7 @@ TEST(ColumnarEngineTest, MultiQueryCatalogOnOffOracleAgree) {
     for (bool columnar : {true, false}) {
       EngineOptions options;
       options.num_joiners = 3;
-      options.columnar_batch = columnar;
+      if (!columnar) options.columnar_min_run = UINT32_MAX;
       CollectingSink sink;
       auto engine = CreateEngine(kind, primary, options, &sink);
       ASSERT_TRUE(engine->Start().ok());

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -345,7 +347,7 @@ TEST(EngineBehaviourTest, KeyOijVisitsOutOfWindowDataUnderLateness) {
   // columnar batch path shares one gather across a key-group, which
   // redefines visited/effectiveness. Differential correctness of that
   // path is covered by col_batch_test.
-  options.columnar_batch = false;
+  options.columnar_min_run = UINT32_MAX;
   const auto key = RunOverEvents(EngineKind::kKeyOij, events, q, options);
   options.incremental_agg = false;  // isolate the index effect
   const auto scale =
@@ -365,10 +367,10 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
 
   EngineOptions options;
   options.num_joiners = 2;
-  // Scalar path only: the incremental-slide visit saving this test
+  // Per-base path only: the incremental-slide visit saving this test
   // measures is a per-base property; the columnar batch path amortizes
   // differently (one union-window gather per key-group).
-  options.columnar_batch = false;
+  options.columnar_min_run = UINT32_MAX;
   options.incremental_agg = true;
   const auto inc = RunOverEvents(EngineKind::kScaleOij, events, q, options);
   options.incremental_agg = false;
@@ -459,20 +461,45 @@ TEST(EngineBehaviourTest, StartValidatesOptions) {
   // can report it: no engine may divide by a zero joiner or partition
   // count before validation runs.
   const QuerySpec q = TestQuery(EmitMode::kWatermark);
+  const std::vector<std::pair<const char*, void (*)(EngineOptions&)>>
+      invalid = {
+          {"num_joiners=0", [](EngineOptions& o) { o.num_joiners = 0; }},
+          {"num_partitions=0",
+           [](EngineOptions& o) { o.num_partitions = 0; }},
+          {"columnar_min_run=1",
+           [](EngineOptions& o) { o.columnar_min_run = 1; }},
+      };
   for (EngineKind kind :
        {EngineKind::kKeyOij, EngineKind::kScaleOij, EngineKind::kSplitJoin,
         EngineKind::kSharedState}) {
-    for (const bool zero_joiners : {true, false}) {
+    for (const auto& [label, make_invalid] : invalid) {
       EngineOptions options;
-      (zero_joiners ? options.num_joiners : options.num_partitions) = 0;
+      make_invalid(options);
       NullSink sink;
       auto engine = CreateEngine(kind, q, options, &sink);
       const Status s = engine->Start();
       EXPECT_EQ(s.code(), Status::Code::kInvalidArgument)
-          << EngineKindName(kind)
-          << (zero_joiners ? " num_joiners=0: " : " num_partitions=0: ")
-          << s.ToString();
+          << EngineKindName(kind) << " " << label << ": " << s.ToString();
     }
+  }
+}
+
+TEST(EngineBehaviourTest, BreakdownWithinBusyTime) {
+  // Fig 6's invariant for both finalizing engines: lookup and match are
+  // parts of busy time. Long drains make the columnar gather and sweep
+  // (timed as lookup) run; Scale-OIJ also finalizes from OnIdle, which
+  // must count as busy.
+  const WorkloadSpec w = TestWorkload(151);
+  const QuerySpec q = TestQuery(EmitMode::kWatermark);
+  const auto events = Generate(w);
+  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
+    EngineOptions options;
+    options.num_joiners = 2;
+    const auto run = RunOverEvents(kind, events, q, options, /*wm_every=*/512);
+    const TimeBreakdown& b = run.stats.breakdown;
+    EXPECT_GT(run.stats.columnar_groups, 0u) << EngineKindName(kind);
+    EXPECT_GT(b.lookup_ns, 0) << EngineKindName(kind);
+    EXPECT_LE(b.lookup_ns + b.match_ns, b.busy_ns) << EngineKindName(kind);
   }
 }
 
