@@ -15,10 +15,12 @@ namespace oij {
 enum class EmitMode : uint8_t {
   /// Join-on-arrival (Flink interval-join style, and what the paper's
   /// latency figures imply: Workload A has 1 s lateness yet 10 ms
-  /// latencies). The base tuple joins against everything buffered so far;
-  /// probe tuples that arrive later than the base tuple they match are
-  /// missed. Exact when the probe stream is in order relative to base
-  /// consumption; approximate under disorder.
+  /// latencies). A base tuple is finalized at the end of the ring batch
+  /// it arrived in (once its FOL offset has been observed), against
+  /// everything buffered by then. Probes that arrive after that are
+  /// missed, so under disorder d ≤ lateness a result is sandwiched: it
+  /// never over-counts and never misses a probe more than d older than
+  /// its window end.
   kEager = 0,
   /// Watermark-gated: a base tuple is finalized only once the watermark
   /// (max seen − lateness) passes its window end, so results are exact for

@@ -808,10 +808,12 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
             flushed = true;
             break;
           case Event::Kind::kSnapshot:
+            OnBatchEnd(joiner);
             HandleSnapshotEvent(joiner,
                                 static_cast<uint64_t>(ev.watermark));
             break;
           case Event::Kind::kAddQuery: {
+            OnBatchEnd(joiner);
             JoinerView& view = joiner_views_[joiner];
             QueryRuntime* q = ev.query;
             if (view.queries.size() <= q->ord) {
@@ -824,12 +826,14 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
             break;
           }
           case Event::Kind::kRemoveQuery:
+            OnBatchEnd(joiner);
             joiner_views_[joiner].accepting[ev.query->ord] = false;
             OnRemoveQuery(joiner, ev.query->ord);
             break;
         }
         if (flushed) break;
       }
+      if (!flushed && !aborted) OnBatchEnd(joiner);
       consumed_[joiner].value.fetch_add(processed,
                                         std::memory_order_relaxed);
       if (flushed || aborted || stop_requested()) break;

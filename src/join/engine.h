@@ -522,6 +522,15 @@ class ParallelEngineBase : public JoinEngine {
   virtual void OnAddQuery(uint32_t /*joiner*/, QueryRuntime& /*query*/) {}
   virtual void OnRemoveQuery(uint32_t /*joiner*/, uint32_t /*ord*/) {}
 
+  /// The joiner loop's one finalize point for per-tuple work: called
+  /// after each ring batch the joiner has processed (unless it flushed
+  /// or aborted), and before every kSnapshot, kAddQuery and kRemoveQuery
+  /// event, so snapshot cuts and catalog barriers see every base that
+  /// was ready before them finalized. Engines that defer finalization
+  /// out of OnTuple drain here, so the ready bases of one batch share
+  /// one drain (and can reach the columnar kernels).
+  virtual void OnBatchEnd(uint32_t /*joiner*/) {}
+
   /// Called when the joiner's queue is momentarily empty; engines poll
   /// deferred work (pending base tuples waiting on teammates) here.
   /// Returns whether it did any: that call then counts as busy time.

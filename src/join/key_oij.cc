@@ -77,7 +77,10 @@ void KeyOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           PendingBase{event.tuple, event.arrival_us});
     }
   }
-  DrainPending(joiner, s);
+}
+
+void KeyOijEngine::OnBatchEnd(uint32_t joiner) {
+  DrainPending(joiner, *states_[joiner]);
 }
 
 void KeyOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {

@@ -32,6 +32,7 @@ class KeyOijEngine : public ParallelEngineBase {
   void Route(const Event& event) override;
   void OnTuple(uint32_t joiner, const Event& event) override;
   void OnWatermark(uint32_t joiner, Timestamp watermark) override;
+  void OnBatchEnd(uint32_t joiner) override;
   bool SupportsMultiQuery() const override { return true; }
   void OnAddQuery(uint32_t joiner, QueryRuntime& query) override;
   void CollectStats(EngineStats* stats) override;

@@ -151,6 +151,17 @@ Timestamp ScaleOijEngine::TeamMinProgress(
   return min_p;
 }
 
+Timestamp ScaleOijEngine::TeamCompleteThrough(
+    const std::vector<uint32_t>& team) const {
+  const Timestamp p = TeamMinProgress(team);
+  // Watermark progress is already a completeness bound. Eager progress is
+  // what the team has observed: probes up to the lateness bound behind
+  // it may still arrive without being late.
+  return spec().emit_mode == EmitMode::kWatermark
+             ? p
+             : p - spec().lateness_us - 1;
+}
+
 Timestamp ScaleOijEngine::GlobalMinReadFloor() const {
   Timestamp min_f = kMaxTimestamp;
   for (const auto& s : states_) {
@@ -187,10 +198,13 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           PendingBase{event.tuple, event.arrival_us});
     }
   }
+}
 
-  if (spec().emit_mode == EmitMode::kEager) {
-    PublishProgress(s);
-  }
+void ScaleOijEngine::OnBatchEnd(uint32_t joiner) {
+  JoinerState& s = *states_[joiner];
+  // Eager progress moves with every observed tuple; watermark progress
+  // only at punctuations, which OnWatermark publishes.
+  if (spec().emit_mode == EmitMode::kEager) PublishProgress(s);
   DrainPending(joiner, s);
 }
 
@@ -309,15 +323,12 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
       PartitionTable::PartitionOf(base.key, options().num_partitions);
   const std::vector<uint32_t>& team = s.schedule->teams[p];
   const bool scan_annex = ScanAnnex(qspec);
+  const bool incremental = !scan_annex && options().incremental_agg;
 
   uint64_t op_visited = 0;
-  double result_value = 0.0;
-  uint64_t result_count = 0;
-  double out_sum = std::numeric_limits<double>::quiet_NaN();
-  double out_min = std::numeric_limits<double>::quiet_NaN();
-  double out_max = std::numeric_limits<double>::quiet_NaN();
+  AggState agg;
   {
-    ScopedTimerNs timer(&s.breakdown.match_ns);
+    ScopedTimerNs timer(&s.breakdown.lookup_ns);
     EpochGuard guard(ebr_, s.ebr_slot);
 
     auto scan = [&](Timestamp lo, Timestamp hi, auto&& per_tuple) {
@@ -337,42 +348,47 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
       }
     };
 
-    if (!scan_annex && options().incremental_agg &&
-        IsInvertible(qspec.agg)) {
-      IncrementalWindowState& inc = slot.inc_states[base.key];
-      inc.Slide(start, end, qspec.agg, scan);
-      result_value = inc.agg().Result(qspec.agg);
-      result_count = inc.agg().count;
-      out_sum = inc.agg().sum;  // min/max not maintained incrementally
-    } else if (!scan_annex && options().incremental_agg) {
-      // Non-invertible (min/max): Two-Stacks incremental window.
-      NonInvertibleWindowState& ni =
-          slot.ni_states.try_emplace(base.key, qspec.agg).first->second;
-      ni.Slide(start, end, scan);
-      result_count = ni.count();
-      result_value = result_count == 0
-                         ? std::numeric_limits<double>::quiet_NaN()
-                         : ni.Result();
-      if (result_count > 0) {
-        (qspec.agg == AggKind::kMin ? out_min : out_max) = ni.Result();
+    // A running window state may only hold probes no future tuple can
+    // add to, or a later slide would never pick up a probe that arrived
+    // after it was carried. It carries [start, carried_end]; the rest of
+    // the window is scanned fresh for this base and not stored.
+    Timestamp fresh_lo = start;
+    if (incremental) {
+      const Timestamp carried_end = std::min(end, TeamCompleteThrough(team));
+      if (carried_end >= start) {
+        if (IsInvertible(qspec.agg)) {
+          // Subtract-on-Evict: only sum/count are maintained.
+          IncrementalWindowState& inc = slot.inc_states[base.key];
+          inc.Slide(start, carried_end, qspec.agg, scan);
+          agg = inc.agg();
+        } else {
+          // Two-Stacks: only the requested extreme is maintained.
+          NonInvertibleWindowState& ni =
+              slot.ni_states.try_emplace(base.key, qspec.agg).first->second;
+          ni.Slide(start, carried_end, scan);
+          agg.count = ni.count();
+          (qspec.agg == AggKind::kMin ? agg.min : agg.max) = ni.Result();
+        }
+        fresh_lo = carried_end + 1;
       }
-    } else {
-      AggState agg;
-      scan(start, end, [&](const Tuple& t) { agg.Add(t.payload); });
-      result_value = agg.Result(qspec.agg);
-      result_count = agg.count;
-      out_sum = agg.sum;
-      if (agg.count > 0) {
-        out_min = agg.min;
-        out_max = agg.max;
-      }
+    }
+    if (fresh_lo <= end) {
+      scan(fresh_lo, end, [&](const Tuple& t) { agg.Add(t.payload); });
     }
   }
 
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const bool has_sum = !incremental || IsInvertible(qspec.agg);
+  const bool has_min =
+      agg.count > 0 && (!incremental || qspec.agg == AggKind::kMin);
+  const bool has_max =
+      agg.count > 0 && (!incremental || qspec.agg == AggKind::kMax);
   s.visited += op_visited;
-  s.CountJoinOp(result_count, op_visited);
-  EmitOne(s, query, base, arrival_us, result_value, result_count, out_sum,
-          out_min, out_max);
+  s.CountJoinOp(agg.count, op_visited);
+  ScopedTimerNs timer(&s.breakdown.match_ns);
+  EmitOne(s, query, base, arrival_us, agg.Result(qspec.agg), agg.count,
+          has_sum ? agg.sum : nan, has_min ? agg.min : nan,
+          has_max ? agg.max : nan);
 }
 
 void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
@@ -398,10 +414,17 @@ void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
     // Hand the last window's aggregate to the key's incremental state:
     // a later per-base slide must start from *this* window, or its
     // subtract-scan could reach below the published read floor (the
-    // floor budgets for at most one window below the next start).
-    const Timestamp last = g.Base(g.size - 1).ts;
-    slot.inc_states[g.key].Reseed(qspec.window.start_for(last),
-                                  qspec.window.end_for(last), agg);
+    // floor budgets for at most one window below the next start). An
+    // eager window may still be missing probes, so it is never carried:
+    // the next slide recomputes instead.
+    IncrementalWindowState& inc = slot.inc_states[g.key];
+    if (spec().emit_mode == EmitMode::kEager) {
+      inc.Invalidate();
+    } else {
+      const Timestamp last = g.Base(g.size - 1).ts;
+      inc.Reseed(qspec.window.start_for(last), qspec.window.end_for(last),
+                 agg);
+    }
   } else if (incremental) {
     // Non-invertible (min/max): JoinOne emits only the requested extreme.
     for (size_t i = 0; i < g.size; ++i) {

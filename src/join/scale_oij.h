@@ -64,6 +64,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   void Route(const Event& event) override;
   void OnTuple(uint32_t joiner, const Event& event) override;
   void OnWatermark(uint32_t joiner, Timestamp watermark) override;
+  void OnBatchEnd(uint32_t joiner) override;
   bool OnIdle(uint32_t joiner) override;
   void OnFlush(uint32_t joiner) override;
   bool SupportsMultiQuery() const override { return true; }
@@ -136,6 +137,9 @@ class ScaleOijEngine : public ParallelEngineBase {
 
   /// Smallest published progress over `team`.
   Timestamp TeamMinProgress(const std::vector<uint32_t>& team) const;
+  /// Event time through which every non-late probe of `team` is present
+  /// (the completeness horizon incremental window states carry up to).
+  Timestamp TeamCompleteThrough(const std::vector<uint32_t>& team) const;
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 

@@ -75,11 +75,13 @@ class IncrementalWindowState {
 
   /// Installs an externally computed full-window aggregate for
   /// [start, end]. The columnar batch kernel calls this after finalizing
-  /// a key-group in bulk: the group's last window was aggregated from
-  /// staged columns, so handing it over keeps the overlap precondition
-  /// (prev window at most one window behind the next scalar slide) that
-  /// the eviction read-floor accounting relies on. Like any state after
-  /// a Subtract, only the invertible components of `agg` are meaningful.
+  /// a key-group in bulk in watermark mode (an eager window may still be
+  /// missing probes, so it invalidates instead): the group's last window
+  /// was aggregated from staged columns, so handing it over keeps the
+  /// overlap precondition (prev window at most one window behind the
+  /// next scalar slide) that the eviction read-floor accounting relies
+  /// on. Like any state after a Subtract, only the invertible components
+  /// of `agg` are meaningful.
   void Reseed(Timestamp start, Timestamp end, const AggState& agg) {
     agg_ = agg;
     prev_start_ = start;

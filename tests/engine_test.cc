@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -409,51 +411,92 @@ TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
   // base tuple; the generator bounds those to ts in (end - disorder,
   // end]. Hence every eager result is sandwiched between the exact
   // aggregate of the full window and that of the window with its last
-  // `disorder` microseconds removed.
+  // `disorder` microseconds removed. This must hold on every finalize
+  // path: per-base slides (columnar_min_run = UINT32_MAX) and columnar
+  // groups, invertible and Two-Stacks aggregates, one and two joiners.
   const Timestamp disorder = 80;
   WorkloadSpec w = TestWorkload(141, /*keys=*/4, disorder);
-  QuerySpec q = TestQuery(EmitMode::kEager, AggKind::kCount, disorder);
   const auto events = Generate(w);
 
-  auto full = ReferenceJoin(events, q);
-  SortResults(&full);
   // Lower bound: probes in [start, end - disorder - 1] can never be
   // missed (they cannot arrive after the base tuple).
-  auto lower_ref = [&](const Tuple& base) {
-    uint64_t count = 0;
-    const Timestamp start = q.window.start_for(base.ts);
-    const Timestamp end = q.window.end_for(base.ts) - disorder - 1;
-    for (const auto& e : events) {
-      if (e.stream == StreamId::kProbe && e.tuple.key == base.key &&
-          e.tuple.ts >= start && e.tuple.ts <= end) {
-        ++count;
-      }
+  std::unordered_map<Key, std::vector<Timestamp>> probe_ts;
+  for (const auto& e : events) {
+    if (e.stream == StreamId::kProbe) {
+      probe_ts[e.tuple.key].push_back(e.tuple.ts);
     }
-    return count;
+  }
+  for (auto& [key, ts] : probe_ts) std::sort(ts.begin(), ts.end());
+  auto lower_ref = [&](const QuerySpec& q, const Tuple& base) -> uint64_t {
+    const std::vector<Timestamp>& ts = probe_ts[base.key];
+    const auto lo = std::lower_bound(ts.begin(), ts.end(),
+                                     q.window.start_for(base.ts));
+    const auto hi = std::upper_bound(
+        ts.begin(), ts.end(), q.window.end_for(base.ts) - disorder - 1);
+    return hi > lo ? static_cast<uint64_t>(hi - lo) : 0;
   };
 
-  EngineOptions options;
-  options.num_joiners = 2;
-  const auto run = RunOverEvents(EngineKind::kKeyOij, events, q, options);
-  ASSERT_EQ(run.results.size(), full.size());
-  uint64_t got_total = 0;
-  uint64_t full_total = 0;
-  for (size_t i = 0; i < run.results.size(); ++i) {
-    ASSERT_EQ(run.results[i].base, full[i].base);
-    ASSERT_LE(run.results[i].match_count, full[i].match_count)
-        << "eager must never over-count";
-    ASSERT_GE(run.results[i].match_count, lower_ref(run.results[i].base))
-        << "eager missed a probe outside the disorder bound";
-    got_total += run.results[i].match_count;
-    full_total += full[i].match_count;
+  for (AggKind agg : {AggKind::kCount, AggKind::kMin}) {
+    const QuerySpec q = TestQuery(EmitMode::kEager, agg, disorder);
+    auto full = ReferenceJoin(events, q);
+    SortResults(&full);
+    for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
+      for (uint32_t joiners : {1u, 2u}) {
+        for (bool columnar : {true, false}) {
+          SCOPED_TRACE(std::string(EngineKindName(kind)) + " " +
+                       std::string(AggKindName(agg)) + " j" +
+                       std::to_string(joiners) +
+                       (columnar ? " columnar" : " per-base"));
+          EngineOptions options;
+          options.num_joiners = joiners;
+          if (!columnar) options.columnar_min_run = UINT32_MAX;
+          const auto run = RunOverEvents(kind, events, q, options);
+          ASSERT_EQ(run.results.size(), full.size());
+          uint64_t got_total = 0;
+          uint64_t full_total = 0;
+          for (size_t i = 0; i < run.results.size(); ++i) {
+            ASSERT_EQ(run.results[i].base, full[i].base);
+            ASSERT_LE(run.results[i].match_count, full[i].match_count)
+                << "eager must never over-count";
+            ASSERT_GE(run.results[i].match_count,
+                      lower_ref(q, run.results[i].base))
+                << "eager missed a probe outside the disorder bound";
+            got_total += run.results[i].match_count;
+            full_total += full[i].match_count;
+          }
+          // The aggregate deficit is a small fraction: only probes inside
+          // the final `disorder` microseconds of a window can be missed,
+          // and only when they actually arrive after the base tuple.
+          ASSERT_GT(full_total, 0u);
+          EXPECT_GT(static_cast<double>(got_total) /
+                        static_cast<double>(full_total),
+                    0.95);
+        }
+      }
+    }
   }
-  // The aggregate deficit is a small fraction: only probes inside the
-  // final `disorder` microseconds of a window can be missed, and only
-  // when they actually arrive after the base tuple.
-  ASSERT_GT(full_total, 0u);
-  EXPECT_GT(static_cast<double>(got_total) /
-                static_cast<double>(full_total),
-            0.95);
+}
+
+TEST(EngineBehaviourTest, EagerFinalizesPerBatch) {
+  // Eager bases are ready on arrival, and the joiner finalizes once per
+  // ring batch, so the bases of one batch share a drain long enough for
+  // the columnar kernels. Finalizing per tuple would make every drain a
+  // run of one, which never goes columnar.
+  const Timestamp disorder = 80;
+  const WorkloadSpec w = TestWorkload(141, /*keys=*/4, disorder);
+  const QuerySpec q = TestQuery(EmitMode::kEager, AggKind::kCount, disorder);
+  const auto events = Generate(w);
+  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
+    EngineOptions options;
+    options.num_joiners = 1;
+    // Staging whole punctuation intervals fixes the ring batches the
+    // joiner pops, whatever the relative speed of driver and joiner.
+    options.batch_size = 256;
+    const auto run = RunOverEvents(kind, events, q, options);
+    ASSERT_GT(run.stats.results, 0u) << EngineKindName(kind);
+    EXPECT_GT(run.stats.columnar_bases, run.stats.results / 2)
+        << EngineKindName(kind);
+  }
 }
 
 TEST(EngineBehaviourTest, StartValidatesOptions) {
@@ -493,13 +536,24 @@ TEST(EngineBehaviourTest, BreakdownWithinBusyTime) {
   const QuerySpec q = TestQuery(EmitMode::kWatermark);
   const auto events = Generate(w);
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
-    EngineOptions options;
-    options.num_joiners = 2;
-    const auto run = RunOverEvents(kind, events, q, options, /*wm_every=*/512);
-    const TimeBreakdown& b = run.stats.breakdown;
-    EXPECT_GT(run.stats.columnar_groups, 0u) << EngineKindName(kind);
-    EXPECT_GT(b.lookup_ns, 0) << EngineKindName(kind);
-    EXPECT_LE(b.lookup_ns + b.match_ns, b.busy_ns) << EngineKindName(kind);
+    // The per-base arm times each base's index seek or key scan as lookup.
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) +
+                   (columnar ? " columnar" : " per-base"));
+      EngineOptions options;
+      options.num_joiners = 2;
+      if (!columnar) options.columnar_min_run = UINT32_MAX;
+      const auto run =
+          RunOverEvents(kind, events, q, options, /*wm_every=*/512);
+      const TimeBreakdown& b = run.stats.breakdown;
+      if (columnar) {
+        EXPECT_GT(run.stats.columnar_groups, 0u);
+      } else {
+        EXPECT_EQ(run.stats.columnar_groups, 0u);
+      }
+      EXPECT_GT(b.lookup_ns, 0);
+      EXPECT_LE(b.lookup_ns + b.match_ns, b.busy_ns);
+    }
   }
 }
 
