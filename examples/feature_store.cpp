@@ -1,143 +1,134 @@
-// The full OpenMLDB-style feature-platform flow on the row layer: typed
-// schemas for the two streams, a multi-aggregate SQL feature set bound
-// against them, packed rows converted through the resolved bindings, and
-// one Scale-OIJ run serving all five features per browse event.
+// A feature store's serving path: five features per browse event (sum,
+// count, avg, min and max of the user's order amounts over the last
+// 500 ms), each its own one-aggregate SQL query, served as standing
+// queries over one shared Scale-OIJ index. Every order is inserted once,
+// every feature keeps its own exact incremental state, and every result
+// names its feature in JoinResult::query.
 //
 //   $ ./build/examples/feature_store
 
-#include <atomic>
+#include <array>
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <mutex>
+#include <string>
+#include <vector>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "core/engine_factory.h"
-#include "core/feature_set.h"
-#include "core/pipeline.h"
-#include "core/run_summary.h"
-#include "row/stream_binding.h"
-#include "sql/parser.h"
+#include "join/watermark.h"
+#include "sql/binder.h"
 
 namespace {
 
-/// Feeds packed rows (converted via bindings) instead of raw tuples.
-class RowSource {
- public:
-  RowSource(const oij::StreamBinding& base, const oij::StreamBinding& probe,
-            uint64_t total)
-      : base_(base), probe_(probe), total_(total), rng_(4711),
-        base_builder_(base.schema), probe_builder_(probe.schema) {}
+constexpr const char* kFeatures[] = {"sum", "count", "avg", "min", "max"};
+constexpr size_t kNumFeatures = std::size(kFeatures);
 
-  bool Next(oij::StreamEvent* out) {
-    if (produced_ >= total_) return false;
-    ++produced_;
-    ts_ += 1 + rng_.NextBelow(20);  // ~10 us mean inter-arrival
-    const uint64_t user = rng_.NextBelow(32);
-    if (rng_.NextBelow(2) == 0) {
-      // A browse action row: (ts, user_id, page).
-      base_builder_.SetTimestamp(0, ts_).SetInt64(1, static_cast<int64_t>(user))
-          .SetInt64(2, static_cast<int64_t>(rng_.NextBelow(1000)));
-      out->stream = oij::StreamId::kBase;
-      out->tuple = oij::RowToTuple(
-          base_, oij::RowView(base_.schema, base_builder_.row().data()));
-    } else {
-      // An order row: (ts, user_id, amount, item_count).
-      probe_builder_.SetTimestamp(0, ts_)
-          .SetInt64(1, static_cast<int64_t>(user))
-          .SetDouble(2, 5.0 + rng_.NextDouble() * 95.0)
-          .SetInt64(3, 1 + static_cast<int64_t>(rng_.NextBelow(5)));
-      out->stream = oij::StreamId::kProbe;
-      out->tuple = oij::RowToTuple(
-          probe_, oij::RowView(probe_.schema, probe_builder_.row().data()));
-    }
-    if (out->tuple.ts > max_ts_) max_ts_ = out->tuple.ts;
-    return true;
+/// The feature vectors of a few browse events chosen before the run.
+/// Joiners call OnResult concurrently; the set of rows never changes.
+class FeatureTable : public oij::ResultSink {
+ public:
+  explicit FeatureTable(const std::vector<oij::Tuple>& watched) {
+    for (const oij::Tuple& t : watched) rows_[{t.ts, t.key}].fill(NAN);
   }
-
-  oij::Timestamp watermark() const { return max_ts_; }  // in-order source
-
- private:
-  oij::StreamBinding base_, probe_;
-  uint64_t total_;
-  uint64_t produced_ = 0;
-  oij::Rng rng_;
-  oij::Timestamp ts_ = 0;
-  oij::Timestamp max_ts_ = 0;
-  oij::RowBuilder base_builder_;
-  oij::RowBuilder probe_builder_;
-};
-
-class FeaturePrinter : public oij::ResultSink {
- public:
-  explicit FeaturePrinter(const oij::FeatureSetSpec* fs) : fs_(fs) {}
 
   void OnResult(const oij::JoinResult& r) override {
-    const uint64_t n = printed_.fetch_add(1);
-    if (n >= 4) return;  // show the first few feature vectors
-    std::printf("  user=%llu ts=%lld ->", static_cast<unsigned long long>(
-                                              r.base.key),
-                static_cast<long long>(r.base.ts));
-    for (const oij::FeatureOutput& out : fs_->outputs) {
-      std::printf(" %s=%.2f", out.name.c_str(),
-                  oij::ExtractFeature(r, out.kind));
+    const auto it = rows_.find({r.base.ts, r.base.key});
+    if (it == rows_.end()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    it->second[r.query] = r.aggregate;
+  }
+
+  void Print() const {
+    for (const auto& [base, features] : rows_) {
+      std::printf("  user=%2llu ts=%8lld ->",
+                  static_cast<unsigned long long>(base.second),
+                  static_cast<long long>(base.first));
+      for (size_t q = 0; q < kNumFeatures; ++q) {
+        std::printf(" %s=%.2f", kFeatures[q], features[q]);
+      }
+      std::printf("\n");
     }
-    std::printf("\n");
   }
 
  private:
-  const oij::FeatureSetSpec* fs_;
-  std::atomic<uint64_t> printed_{0};
+  std::map<std::pair<oij::Timestamp, oij::Key>,
+           std::array<double, kNumFeatures>>
+      rows_;
+  std::mutex mu_;
 };
 
 }  // namespace
 
 int main() {
-  const oij::Schema actions({{"ts", oij::FieldType::kTimestamp},
-                             {"user_id", oij::FieldType::kInt64},
-                             {"page", oij::FieldType::kInt64}});
-  const oij::Schema orders({{"ts", oij::FieldType::kTimestamp},
-                            {"user_id", oij::FieldType::kInt64},
-                            {"amount", oij::FieldType::kDouble},
-                            {"item_count", oij::FieldType::kInt64}});
-
-  const char* sql = R"sql(
-    SELECT sum(amount), count(amount), avg(amount), min(amount),
-           max(amount) OVER w FROM actions
-    WINDOW w AS (
-      UNION orders
-      PARTITION BY user_id
-      ORDER BY ts
-      ROWS_RANGE BETWEEN 500ms PRECEDING AND CURRENT ROW);
-  )sql";
-
-  oij::FeatureSetSpec fs;
-  oij::ParsedQuery parsed;
-  oij::Status s = oij::CompileFeatureSet(sql, &fs, &parsed);
-  if (!s.ok()) {
-    std::fprintf(stderr, "compile: %s\n", s.ToString().c_str());
-    return 1;
+  // One query per feature over the same window. The first is the
+  // engine's primary query; the rest join it through the catalog.
+  std::vector<oij::QuerySpec> specs(kNumFeatures);
+  for (size_t q = 0; q < kNumFeatures; ++q) {
+    const std::string sql =
+        std::string("SELECT ") + kFeatures[q] + R"sql((amount) OVER w
+      FROM actions WINDOW w AS (UNION orders PARTITION BY user_id ORDER BY
+      ts ROWS_RANGE BETWEEN 500ms PRECEDING AND CURRENT ROW))sql";
+    if (!oij::CompileQuery(sql, &specs[q]).ok()) return 1;
+    specs[q].emit_mode = oij::EmitMode::kWatermark;  // exact results
   }
 
-  oij::StreamBinding base_binding, probe_binding;
-  s = oij::BindQueryToSchemas(parsed, actions, orders, &base_binding,
-                              &probe_binding);
-  if (!s.ok()) {
-    std::fprintf(stderr, "bind: %s\n", s.ToString().c_str());
-    return 1;
+  // Browse events (base) and orders (probe) of 32 users, in event-time
+  // order; every 20,000th browse event is watched.
+  oij::Rng rng(4711);
+  std::vector<oij::StreamEvent> events(200'000);
+  std::vector<oij::Tuple> watched;
+  oij::Timestamp ts = 0;
+  uint64_t browses = 0;
+  for (oij::StreamEvent& ev : events) {
+    ts += 1 + static_cast<oij::Timestamp>(rng.NextBelow(20));
+    ev.tuple.ts = ts;
+    ev.tuple.key = rng.NextBelow(32);
+    if (rng.NextBelow(2) == 0) {
+      ev.stream = oij::StreamId::kBase;
+      if (++browses % 20'000 == 0) watched.push_back(ev.tuple);
+    } else {
+      ev.stream = oij::StreamId::kProbe;
+      ev.tuple.payload = 5.0 + rng.NextDouble() * 95.0;  // order amount
+    }
   }
-  std::printf("feature set over %s UNION %s: %zu outputs, window %lld us\n",
-              parsed.base_table.c_str(), parsed.probe_table.c_str(),
-              fs.outputs.size(),
-              static_cast<long long>(fs.query.window.pre));
 
-  FeaturePrinter sink(&fs);
+  FeatureTable table(watched);
   oij::EngineOptions options;
-  options.num_joiners = 4;
-  // min+max alongside sum/count: the window must be fully materialized.
-  options.incremental_agg = !fs.RequiresFullState();
-  auto engine = oij::CreateEngine(oij::EngineKind::kScaleOij, fs.query,
-                                  options, &sink);
-  RowSource source(base_binding, probe_binding, 200'000);
-  const oij::RunResult run =
-      oij::RunPipelineFrom(engine.get(), &source, /*pace=*/0);
-  std::printf("\n%s", oij::SummarizeRun("feature-store", run).c_str());
+  options.num_joiners = 2;
+  auto engine = oij::CreateEngine(oij::EngineKind::kScaleOij, specs[0],
+                                  options, &table);
+  oij::Status s = engine->Start();
+  for (size_t q = 1; s.ok() && q < kNumFeatures; ++q) {
+    s = engine->AddQuery(kFeatures[q], specs[q]);
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  oij::WatermarkTracker tracker(specs[0].lateness_us);
+  for (size_t i = 0; i < events.size(); ++i) {
+    tracker.Observe(events[i].tuple.ts);
+    engine->Push(events[i], oij::MonotonicNowUs());
+    if ((i + 1) % 256 == 0) engine->SignalWatermark(tracker.watermark());
+  }
+  const oij::EngineStats stats = engine->Finish();
+
+  std::printf("%zu standing queries over one index, window 500 ms\n",
+              kNumFeatures);
+  table.Print();
+  bool ok = stats.health.ok();
+  for (const oij::QueryStatsRow& row : engine->QuerySnapshot()) {
+    const std::string_view agg = oij::AggKindName(row.spec.agg);
+    std::printf("  [%u] %-5s %-5.*s results=%llu\n", row.ord,
+                row.id.c_str(), static_cast<int>(agg.size()), agg.data(),
+                static_cast<unsigned long long>(row.results));
+    ok = ok && row.results == browses;  // one result per browse event
+  }
+  if (!ok) return 1;
+  std::printf("served %zu features for each of %llu browse events\n",
+              kNumFeatures, static_cast<unsigned long long>(browses));
   return 0;
 }

@@ -65,17 +65,6 @@ SliceAgg AggregateSlicePortable(const double* v, size_t n);
 /// True when AggregateSlice() currently routes to the AVX2 body.
 bool SimdActive();
 
-/// Software prefetch of the cache line holding `p` (read intent). Used
-/// by the gather walks to warm the next arena node while the current
-/// one is being copied out; compiles to nothing where unsupported.
-inline void PrefetchRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
 /// Exclusive prefix sums: out[i] = v[0] + ... + v[i-1], out[n] = total.
 /// `out` must have room for n + 1 doubles. The sweep merge's invertible
 /// fast path turns every per-base window sum into two loads and one

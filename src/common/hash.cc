@@ -2,15 +2,6 @@
 
 namespace oij {
 
-uint64_t HashBytes(std::string_view data, uint64_t seed) {
-  uint64_t h = 1469598103934665603ULL ^ seed;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
-
 namespace {
 
 /// Byte-at-a-time CRC-32C table (polynomial 0x1EDC6F41, reflected

@@ -16,10 +16,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Hash of a byte string (FNV-1a with a 64-bit mix finish). Used by the SQL
-/// layer to map column names and by tests.
-uint64_t HashBytes(std::string_view data, uint64_t seed = 0);
-
 /// CRC-32C (Castagnoli) over a byte string. Guards every WAL record and
 /// the snapshot manifest so the recovery reader can distinguish a torn
 /// tail from valid data (src/wal/). Pass the previous return value as

@@ -51,21 +51,17 @@ struct IntervalWindow {
 };
 
 /// One finalized join result: the base tuple together with the aggregate
-/// over its matched probe tuples. The cardinality of results equals the
-/// cardinality of the base stream (Section II-C).
+/// of one standing query over its matched probe tuples. Per query, the
+/// cardinality of results equals the cardinality of the base stream
+/// (Section II-C). Several features over one window are several
+/// standing queries over one shared index, each emitting its own result
+/// tagged with `query`.
 struct JoinResult {
   Tuple base;
-  /// The value of the query's requested aggregate.
+  /// The value of the query's aggregate; NaN for an empty window's
+  /// avg/min/max (SQL NULL stand-in).
   double aggregate = 0.0;
   uint64_t match_count = 0;
-
-  /// Full window statistics, for multi-aggregate feature sets: engines
-  /// that materialize the window (every full-scan path) fill all three;
-  /// the incremental paths fill only what their running state maintains
-  /// and leave the rest NaN. See core/feature_set.h.
-  double sum = std::numeric_limits<double>::quiet_NaN();
-  double min = std::numeric_limits<double>::quiet_NaN();
-  double max = std::numeric_limits<double>::quiet_NaN();
 
   /// Monotonic-clock arrival of the base tuple, for latency accounting.
   int64_t arrival_us = 0;

@@ -86,16 +86,6 @@ struct QueryStatsRow {
   LateStats late;
 };
 
-/// Copies a fully materialized window's statistics into a result (the
-/// multi-aggregate feature-set fields; see core/feature_set.h).
-inline void FillWindowStats(JoinResult* result, const AggState& agg) {
-  result->sum = agg.sum;
-  if (agg.count > 0) {
-    result->min = agg.min;
-    result->max = agg.max;
-  }
-}
-
 /// Receives finalized join results. May be invoked concurrently from
 /// several joiner threads; implementations must be thread-safe.
 class ResultSink {

@@ -178,7 +178,6 @@ void KeyOijEngine::Emit(JoinerState& s, QueryRuntime& query,
   result.base = base;
   result.aggregate = agg.Result(query.spec.agg);
   result.match_count = agg.count;
-  FillWindowStats(&result, agg);
   result.arrival_us = arrival_us;
   result.emit_us = MonotonicNowUs();
   s.latency.Record(result.emit_us - arrival_us);

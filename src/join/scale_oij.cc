@@ -1,7 +1,6 @@
 #include "join/scale_oij.h"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 #include "common/clock.h"
@@ -377,30 +376,20 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
     }
   }
 
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const bool has_sum = !incremental || IsInvertible(qspec.agg);
-  const bool has_min =
-      agg.count > 0 && (!incremental || qspec.agg == AggKind::kMin);
-  const bool has_max =
-      agg.count > 0 && (!incremental || qspec.agg == AggKind::kMax);
   s.visited += op_visited;
   s.CountJoinOp(agg.count, op_visited);
   ScopedTimerNs timer(&s.breakdown.match_ns);
-  EmitOne(s, query, base, arrival_us, agg.Result(qspec.agg), agg.count,
-          has_sum ? agg.sum : nan, has_min ? agg.min : nan,
-          has_max ? agg.max : nan);
+  EmitOne(s, query, base, arrival_us, agg.Result(qspec.agg), agg.count);
 }
 
 void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
                                QuerySlot& slot, const ColumnarGroup& g,
                                bool scan_annex) {
   const QuerySpec& qspec = query.spec;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
   const bool incremental = !scan_annex && options().incremental_agg;
   if (incremental && IsInvertible(qspec.agg)) {
     // Exclusive prefix sums turn every window sum into two loads and a
-    // subtract. JoinOne emits sum/count only here (min/max are not
-    // maintained incrementally), so we do the same.
+    // subtract.
     s.prefix.resize(g.probes->size() + 1);
     col::PrefixSums(g.probes->payload(), g.probes->size(), s.prefix.data());
     AggState agg;
@@ -409,7 +398,7 @@ void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
       agg.count = g.slices[i].hi - g.slices[i].lo;
       s.CountJoinOp(agg.count, g.gathered);
       EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
-              agg.count, agg.sum, nan, nan);
+              agg.count);
     }
     // Hand the last window's aggregate to the key's incremental state:
     // a later per-base slide must start from *this* window, or its
@@ -425,44 +414,30 @@ void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
       inc.Reseed(qspec.window.start_for(last), qspec.window.end_for(last),
                  agg);
     }
-  } else if (incremental) {
-    // Non-invertible (min/max): JoinOne emits only the requested extreme.
-    for (size_t i = 0; i < g.size; ++i) {
-      const col::SliceAgg sa = g.Aggregate(i);
-      const double extreme = qspec.agg == AggKind::kMin ? sa.min : sa.max;
-      s.CountJoinOp(sa.count, g.gathered);
-      EmitOne(s, query, g.Base(i), g.Arrival(i),
-              sa.count == 0 ? nan : extreme, sa.count, nan,
-              qspec.agg == AggKind::kMin && sa.count > 0 ? sa.min : nan,
-              qspec.agg == AggKind::kMax && sa.count > 0 ? sa.max : nan);
-    }
-    // The Two-Stacks FIFO (if armed) no longer matches the last per-base
-    // window; force its next slide to recompute.
+    return;
+  }
+  for (size_t i = 0; i < g.size; ++i) {
+    const AggState agg = g.Aggregate(i).ToAggState();
+    s.CountJoinOp(agg.count, g.gathered);
+    EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
+            agg.count);
+  }
+  if (incremental) {
+    // Non-invertible (min/max): the Two-Stacks FIFO (if armed) no longer
+    // matches the last per-base window; force its next slide to
+    // recompute.
     auto it = slot.ni_states.find(g.key);
     if (it != slot.ni_states.end()) it->second.Invalidate();
-  } else {
-    // Full-scan configuration: JoinOne emits the complete window stats.
-    for (size_t i = 0; i < g.size; ++i) {
-      const AggState agg = g.Aggregate(i).ToAggState();
-      s.CountJoinOp(agg.count, g.gathered);
-      EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
-              agg.count, agg.sum, agg.count > 0 ? agg.min : nan,
-              agg.count > 0 ? agg.max : nan);
-    }
   }
 }
 
 void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
                              const Tuple& base, int64_t arrival_us,
-                             double value, uint64_t count, double out_sum,
-                             double out_min, double out_max) {
+                             double value, uint64_t count) {
   JoinResult result;
   result.base = base;
   result.aggregate = value;
   result.match_count = count;
-  result.sum = out_sum;
-  result.min = out_min;
-  result.max = out_max;
   result.arrival_us = arrival_us;
   result.emit_us = MonotonicNowUs();
   s.latency.Record(result.emit_us - arrival_us);

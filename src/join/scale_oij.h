@@ -150,15 +150,14 @@ class ScaleOijEngine : public ParallelEngineBase {
   void JoinOne(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
                const Tuple& base, int64_t arrival_us);
   /// Columnar emit of one gathered key-group, mirroring JoinOne's result
-  /// fields per configuration. Keeps the per-key incremental window
+  /// per configuration. Keeps the per-key incremental window
   /// states consistent (Reseed / Invalidate) so interleaved per-base
   /// slides stay eviction-safe.
   void EmitGroup(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
                  const ColumnarGroup& g, bool scan_annex);
   /// Shared result-emission tail of both join paths.
   void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
-               int64_t arrival_us, double value, uint64_t count,
-               double out_sum, double out_min, double out_max);
+               int64_t arrival_us, double value, uint64_t count);
   void Evict(JoinerState& s);
   bool HavePending(const JoinerState& s) const;
 

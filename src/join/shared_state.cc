@@ -69,7 +69,6 @@ void SharedStateEngine::JoinOne(WorkerState& s, const Tuple& base,
   result.base = base;
   result.aggregate = agg.Result(spec().agg);
   result.match_count = agg.count;
-  FillWindowStats(&result, agg);
   result.arrival_us = arrival_us;
   result.emit_us = MonotonicNowUs();
   s.latency.Record(result.emit_us - arrival_us);

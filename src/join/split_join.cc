@@ -222,7 +222,6 @@ void SplitJoinEngine::CollectorMain() {
           result.base = slot.base;
           result.aggregate = slot.agg.Result(spec().agg);
           result.match_count = slot.agg.count;
-          FillWindowStats(&result, slot.agg);
           result.arrival_us = slot.arrival_us;
           result.emit_us = MonotonicNowUs();
           collector_latency_.Record(result.emit_us - result.arrival_us);

@@ -61,7 +61,7 @@ double GetF64(const char* p) { return std::bit_cast<double>(GetU64(p)); }
 // Payload sizes (excluding the type byte) of the fixed-size frames.
 constexpr size_t kTupleBytes = 1 + 8 + 8 + 8;
 constexpr size_t kWatermarkBytes = 8;
-constexpr size_t kResultBytes = 24 + 8 + 8 + 24 + 16 + 4;
+constexpr size_t kResultBytes = 24 + 8 + 8 + 16 + 4;
 constexpr size_t kHelloBytes = 4 + 2 + 2 + 8;
 constexpr size_t kWatermarkAckBytes = 8 + 8;
 // kAddQuery payload past the id: pre, fol, lateness (i64 each) plus the
@@ -110,9 +110,6 @@ void AppendResultFrame(std::string* out, const JoinResult& result) {
   PutTuple(out, result.base);
   PutF64(out, result.aggregate);
   PutU64(out, result.match_count);
-  PutF64(out, result.sum);
-  PutF64(out, result.min);
-  PutF64(out, result.max);
   PutI64(out, result.arrival_us);
   PutI64(out, result.emit_us);
   PutU32(out, result.query);
@@ -155,13 +152,6 @@ void AppendRemoveQueryFrame(std::string* out, std::string_view id) {
   BeginFrame(out, FrameType::kRemoveQuery, 2 + id.size());
   PutU16(out, static_cast<uint16_t>(id.size()));
   out->append(id);
-}
-
-void AppendCanonicalResult(std::string* out, const JoinResult& result) {
-  PutTuple(out, result.base);
-  PutF64(out, result.aggregate);
-  PutU64(out, result.match_count);
-  PutU32(out, result.query);
 }
 
 void WireDecoder::Feed(const char* data, size_t n) {
@@ -231,12 +221,9 @@ WireDecoder::Result WireDecoder::Next(WireFrame* out) {
       r.base = GetTuple(payload);
       r.aggregate = GetF64(payload + 24);
       r.match_count = GetU64(payload + 32);
-      r.sum = GetF64(payload + 40);
-      r.min = GetF64(payload + 48);
-      r.max = GetF64(payload + 56);
-      r.arrival_us = GetI64(payload + 64);
-      r.emit_us = GetI64(payload + 72);
-      r.query = GetU32(payload + 80);
+      r.arrival_us = GetI64(payload + 40);
+      r.emit_us = GetI64(payload + 48);
+      r.query = GetU32(payload + 56);
       break;
     }
     case FrameType::kAddQuery:

@@ -27,7 +27,7 @@ enum class FrameType : uint8_t {
   kWatermark = 2,  ///< watermark(i64)
   kFinish = 3,     ///< end of stream: drain, finalize, reply kSummary
   kSubscribe = 4,  ///< stream every join result back on this connection
-  kResult = 5,     ///< JoinResult (base tuple, aggregates, timing stamps)
+  kResult = 5,     ///< JoinResult (base tuple, aggregate, stamps, query)
   kSummary = 6,    ///< UTF-8 run summary (kFinish acknowledgement)
   kError = 7,      ///< UTF-8 error message; the server closes afterwards
   /// Versioned handshake: magic(u32) version(u16) flags(u16)
@@ -65,9 +65,10 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// from a newer/older peer is valid *syntax*, just an unacceptable
 /// *negotiation*.
 inline constexpr uint32_t kWireMagic = 0x314A494Fu;  // "OIJ1" little-endian
-/// v2: kResult/canonical-result frames carry the query ordinal, and the
+/// v2: kResult frames carry the query ordinal, and the
 /// kAddQuery/kRemoveQuery catalog frames exist.
-inline constexpr uint16_t kWireVersion = 2;
+/// v3: kResult drops the feature-set sum/min/max.
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Hello flag bits (u16).
 /// Client -> server: request kWatermarkAck frames for every kWatermark.
@@ -118,10 +119,6 @@ void AppendWatermarkAckFrame(std::string* out, Timestamp watermark,
 void AppendAddQueryFrame(std::string* out, std::string_view id,
                          const QuerySpec& spec);
 void AppendRemoveQueryFrame(std::string* out, std::string_view id);
-
-/// Canonical encoding of a result *excluding* the wall-clock stamps
-/// (arrival/emit), so two runs over the same input are byte-comparable.
-void AppendCanonicalResult(std::string* out, const JoinResult& result);
 
 /// Incremental frame decoder over an arbitrary byte-chunked stream.
 ///

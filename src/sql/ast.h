@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace oij {
 
@@ -24,18 +23,11 @@ struct WindowBound {
 ///
 /// LATENESS is this library's streaming extension (OpenMLDB's batch SQL
 /// has no disorder bound; a streaming OIJ needs one — Section II-B).
-/// One SELECT-list item: <func>(<column>).
-struct SelectItem {
-  std::string func;
-  std::string column;
-};
-
+/// The select list holds exactly one aggregate: several features over
+/// one window are several standing queries (JoinEngine::AddQuery).
 struct ParsedQuery {
-  std::string agg_func;     ///< first select item's function
-  std::string agg_column;   ///< first select item's column
-  /// The full (possibly multi-aggregate) select list; selects[0]
-  /// duplicates agg_func/agg_column.
-  std::vector<SelectItem> selects;
+  std::string agg_func;     ///< SELECT <agg_func>(<agg_column>)
+  std::string agg_column;
   std::string base_table;   ///< FROM <base>   (stream S)
   std::string window_name;  ///< OVER <name> == WINDOW <name>
   std::string probe_table;  ///< UNION <probe> (stream R)

@@ -140,24 +140,22 @@ Status ParseQuery(std::string_view sql, ParsedQuery* out) {
   if (!s.ok()) return s;
   Cursor cur(tokens);
 
-  // SELECT <agg>(<col>) [, <agg>(<col>)]... OVER <w> FROM <base>
+  // SELECT <agg>(<col>) OVER <w> FROM <base>
   s = cur.ExpectKeyword("SELECT");
   if (!s.ok()) return s;
   const Token* tok = nullptr;
-  do {
-    SelectItem item;
-    s = cur.ExpectIdentifier(&item.func);
-    if (!s.ok()) return s;
-    s = cur.ExpectType(TokenType::kLParen, &tok);
-    if (!s.ok()) return s;
-    s = cur.ExpectIdentifier(&item.column);
-    if (!s.ok()) return s;
-    s = cur.ExpectType(TokenType::kRParen, &tok);
-    if (!s.ok()) return s;
-    out->selects.push_back(std::move(item));
-  } while (cur.Peek().type == TokenType::kComma && (cur.Advance(), true));
-  out->agg_func = out->selects.front().func;
-  out->agg_column = out->selects.front().column;
+  s = cur.ExpectIdentifier(&out->agg_func);
+  if (!s.ok()) return s;
+  s = cur.ExpectType(TokenType::kLParen, &tok);
+  if (!s.ok()) return s;
+  s = cur.ExpectIdentifier(&out->agg_column);
+  if (!s.ok()) return s;
+  s = cur.ExpectType(TokenType::kRParen, &tok);
+  if (!s.ok()) return s;
+  if (cur.Peek().type == TokenType::kComma) {
+    // Several features over one window are several standing queries.
+    return cur.Error("expected OVER (one aggregate per query)");
+  }
   s = cur.ExpectKeyword("OVER");
   if (!s.ok()) return s;
   s = cur.ExpectIdentifier(&out->window_name);

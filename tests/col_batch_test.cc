@@ -1,7 +1,5 @@
 // Columnar batch-join kernel tests (src/col/, DESIGN.md §5h):
 //
-//   * transpose round-trip fuzz over random schemas, including NaN /
-//     signalling-NaN payload bit patterns and all-zero "null" rows;
 //   * ColumnBuffer arena slab loans: acquisition, heap migration past
 //     one slab, and return of the slab to the arena's empty pool;
 //   * sweep-merge window slices vs a brute-force filter on adversarial
@@ -34,9 +32,6 @@
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "mem/node_arena.h"
-#include "row/columnar.h"
-#include "row/row.h"
-#include "row/schema.h"
 #include "skiplist/time_travel_index.h"
 #include "stream/generator.h"
 
@@ -133,111 +128,6 @@ QuerySpec TestQuery(AggKind agg = AggKind::kSum, Timestamp lateness = 50,
   q.emit_mode = EmitMode::kWatermark;
   q.late_policy = policy;
   return q;
-}
-
-// --------------------------------------- ColumnarBlock round-trip fuzz
-
-TEST(ColumnarBlockTest, TransposeRoundTripFuzz) {
-  std::mt19937_64 rng(0xc01u);
-  const std::vector<FieldType> kTypes = {
-      FieldType::kInt64, FieldType::kDouble, FieldType::kTimestamp};
-  for (int iter = 0; iter < 50; ++iter) {
-    // Random schema: 1..6 fields of random types.
-    const size_t num_fields = 1 + rng() % 6;
-    std::vector<Field> fields;
-    for (size_t f = 0; f < num_fields; ++f) {
-      fields.push_back(Field{"f" + std::to_string(f),
-                             kTypes[rng() % kTypes.size()]});
-    }
-    Schema schema(std::move(fields));
-    ColumnarBlock block(&schema);
-    RowBuilder builder(&schema);
-
-    // Random rows, salted with hostile payload bit patterns: quiet and
-    // negative NaN, infinities, -0.0, and all-zero "null" rows.
-    const size_t num_rows = 1 + rng() % 64;
-    std::vector<std::vector<uint8_t>> originals;
-    for (size_t r = 0; r < num_rows; ++r) {
-      builder.Reset();
-      if (rng() % 8 != 0) {  // one in eight rows stays all-zero
-        for (size_t f = 0; f < num_fields; ++f) {
-          const int idx = static_cast<int>(f);
-          switch (schema.field(f).type) {
-            case FieldType::kInt64:
-              builder.SetInt64(idx, static_cast<int64_t>(rng()));
-              break;
-            case FieldType::kTimestamp:
-              builder.SetTimestamp(idx, static_cast<Timestamp>(rng()));
-              break;
-            case FieldType::kDouble: {
-              double v;
-              switch (rng() % 6) {
-                case 0:
-                  v = std::numeric_limits<double>::quiet_NaN();
-                  break;
-                case 1:
-                  v = -std::numeric_limits<double>::quiet_NaN();
-                  break;
-                case 2:
-                  v = std::numeric_limits<double>::infinity();
-                  break;
-                case 3:
-                  v = -0.0;
-                  break;
-                default: {
-                  // Any bit pattern is a valid double to transpose.
-                  const uint64_t bits = rng();
-                  std::memcpy(&v, &bits, 8);
-                  break;
-                }
-              }
-              builder.SetDouble(idx, v);
-              break;
-            }
-          }
-        }
-      }
-      originals.push_back(builder.row());
-      block.AppendRow(builder.row().data());
-    }
-
-    ASSERT_EQ(block.num_rows(), num_rows);
-    std::vector<uint8_t> out(schema.row_bytes());
-    for (size_t r = 0; r < num_rows; ++r) {
-      block.MaterializeRow(r, out.data());
-      EXPECT_EQ(std::memcmp(out.data(), originals[r].data(),
-                            schema.row_bytes()),
-                0)
-          << "iter " << iter << " row " << r << ": round trip not bit-exact";
-      // Typed accessors agree with a RowView over the original bytes.
-      RowView view(&schema, originals[r].data());
-      for (size_t f = 0; f < num_fields; ++f) {
-        const int idx = static_cast<int>(f);
-        if (schema.field(f).type == FieldType::kDouble) {
-          uint64_t a;
-          uint64_t b;
-          const double da = block.GetDouble(f, r);
-          const double db = view.GetDouble(idx);
-          std::memcpy(&a, &da, 8);
-          std::memcpy(&b, &db, 8);
-          EXPECT_EQ(a, b);
-        } else {
-          EXPECT_EQ(block.GetInt64(f, r), view.GetInt64(idx));
-        }
-      }
-    }
-
-    // AppendRow(RowView) produces identical columns.
-    ColumnarBlock via_view(&schema);
-    for (const auto& row : originals) {
-      via_view.AppendRow(RowView(&schema, row.data()));
-    }
-    for (size_t c = 0; c < num_fields; ++c) {
-      EXPECT_EQ(std::memcmp(via_view.ColumnData(c), block.ColumnData(c),
-                            num_rows * 8),
-                0);
-    }
-  }
 }
 
 // ----------------------------------------------- ColumnBuffer slab loans

@@ -65,12 +65,6 @@ TEST(HashTest, Mix64Deterministic) {
   EXPECT_NE(Mix64(42), Mix64(43));
 }
 
-TEST(HashTest, HashBytesSeedMatters) {
-  EXPECT_NE(HashBytes("hello"), HashBytes("hello", 1));
-  EXPECT_EQ(HashBytes("hello"), HashBytes("hello"));
-  EXPECT_NE(HashBytes("hello"), HashBytes("hellp"));
-}
-
 TEST(HashTest, RangePartitionCoversAllBucketsRoughlyEvenly) {
   constexpr uint32_t kBuckets = 8;
   std::vector<int> counts(kBuckets, 0);

@@ -27,11 +27,9 @@ JoinResult MakeResult() {
   r.base.payload = -3.25;
   r.aggregate = 42.5;
   r.match_count = 7;
-  r.sum = 42.5;
-  r.min = -1.5;
-  r.max = 99.0;
   r.arrival_us = 1'000'001;
   r.emit_us = 1'000'777;
+  r.query = 3;
   return r;
 }
 
@@ -81,6 +79,10 @@ TEST(WireCodec, ResultRoundTrip) {
   const JoinResult want = MakeResult();
   std::string bytes;
   AppendResultFrame(&bytes, want);
+  // Length prefix + type byte + base tuple (24) + aggregate (8) +
+  // match_count (8) + arrival/emit stamps (16) + query ordinal (4): the
+  // v2 payload of 84 B less the 24 B of feature-set sum/min/max.
+  EXPECT_EQ(bytes.size(), kFrameHeaderBytes + 1 + (84u - 24u));
   const WireFrame frame = DecodeOne(bytes);
   ASSERT_EQ(frame.type, FrameType::kResult);
   const JoinResult& got = frame.result;
@@ -89,24 +91,21 @@ TEST(WireCodec, ResultRoundTrip) {
   EXPECT_EQ(got.base.payload, want.base.payload);
   EXPECT_EQ(got.aggregate, want.aggregate);
   EXPECT_EQ(got.match_count, want.match_count);
-  EXPECT_EQ(got.sum, want.sum);
-  EXPECT_EQ(got.min, want.min);
-  EXPECT_EQ(got.max, want.max);
   EXPECT_EQ(got.arrival_us, want.arrival_us);
   EXPECT_EQ(got.emit_us, want.emit_us);
+  EXPECT_EQ(got.query, want.query);
 }
 
-TEST(WireCodec, ResultNaNFieldsSurvive) {
+TEST(WireCodec, ResultNaNAggregateSurvives) {
+  // An empty window's avg/min/max is NaN (SQL NULL stand-in).
   JoinResult r = MakeResult();
-  r.sum = std::nan("");
-  r.min = std::nan("");
-  r.max = std::nan("");
+  r.aggregate = std::nan("");
+  r.match_count = 0;
   std::string bytes;
   AppendResultFrame(&bytes, r);
   const WireFrame frame = DecodeOne(bytes);
-  EXPECT_TRUE(std::isnan(frame.result.sum));
-  EXPECT_TRUE(std::isnan(frame.result.min));
-  EXPECT_TRUE(std::isnan(frame.result.max));
+  EXPECT_TRUE(std::isnan(frame.result.aggregate));
+  EXPECT_EQ(frame.result.match_count, 0u);
 }
 
 TEST(WireCodec, TextRoundTrip) {
@@ -122,24 +121,6 @@ TEST(WireCodec, TextRoundTrip) {
   EXPECT_EQ(frame.type, FrameType::kError);
   EXPECT_EQ(frame.text, "");
 }
-
-TEST(WireCodec, CanonicalResultIgnoresWallClockStamps) {
-  JoinResult a = MakeResult();
-  JoinResult b = a;
-  b.arrival_us += 991;
-  b.emit_us += 12'345;
-  std::string ea, eb;
-  AppendCanonicalResult(&ea, a);
-  AppendCanonicalResult(&eb, b);
-  EXPECT_EQ(ea, eb);
-
-  b.aggregate += 1.0;
-  eb.clear();
-  AppendCanonicalResult(&eb, b);
-  EXPECT_NE(ea, eb);
-}
-
-// -------------------------------------------------------- framing behavior
 
 TEST(WireCodec, TruncatedFrameIsNeedMoreNotCorrupt) {
   std::string bytes;

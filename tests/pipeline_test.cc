@@ -2,7 +2,6 @@
 
 #include "core/engine_factory.h"
 #include "core/pipeline.h"
-#include "core/ordering_sink.h"
 #include "core/run_summary.h"
 #include "stream/presets.h"
 
@@ -106,73 +105,6 @@ TEST(PipelineTest, CpuUtilizationCollected) {
       EXPECT_GE(u, 0.0);
       EXPECT_LE(u, 1.0);
     }
-  }
-}
-
-// ---------------------------------------------------------- OrderingSink
-
-TEST(OrderingSinkTest, ForwardsInTimestampOrder) {
-  CollectingSink inner;
-  OrderingSink ordered(&inner);
-  JoinResult r;
-  for (Timestamp ts : {30, 10, 20, 50, 40}) {
-    r.base.ts = ts;
-    ordered.OnResult(r);
-  }
-  ordered.ReleaseUpTo(30);
-  auto first = inner.TakeResults();
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].base.ts, 10);
-  EXPECT_EQ(first[1].base.ts, 20);
-  EXPECT_EQ(first[2].base.ts, 30);
-  EXPECT_EQ(ordered.buffered(), 2u);
-  ordered.Flush();
-  auto rest = inner.TakeResults();
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0].base.ts, 40);
-  EXPECT_EQ(rest[1].base.ts, 50);
-}
-
-TEST(OrderingSinkTest, TiesBrokenByKey) {
-  CollectingSink inner;
-  OrderingSink ordered(&inner);
-  JoinResult r;
-  r.base.ts = 5;
-  for (Key k : {9, 1, 4}) {
-    r.base.key = k;
-    ordered.OnResult(r);
-  }
-  ordered.Flush();
-  auto results = inner.TakeResults();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].base.key, 1u);
-  EXPECT_EQ(results[1].base.key, 4u);
-  EXPECT_EQ(results[2].base.key, 9u);
-}
-
-TEST(OrderingSinkTest, EndToEndOrderedResults) {
-  // Wrap a real multi-joiner run: the inner sink must observe a fully
-  // ts-sorted result stream after Flush().
-  WorkloadSpec w = DefaultSynthetic();
-  w.total_tuples = 30'000;
-  QuerySpec q;
-  q.window = w.window;
-  q.lateness_us = w.lateness_us;
-  q.emit_mode = EmitMode::kWatermark;
-
-  CollectingSink inner;
-  OrderingSink ordered(&inner);
-  EngineOptions options;
-  options.num_joiners = 4;
-  auto engine = CreateEngine(EngineKind::kScaleOij, q, options, &ordered);
-  WorkloadGenerator gen(w);
-  RunPipeline(engine.get(), &gen);
-  ordered.Flush();
-
-  const auto results = inner.TakeResults();
-  ASSERT_GT(results.size(), 1000u);
-  for (size_t i = 1; i < results.size(); ++i) {
-    ASSERT_GE(results[i].base.ts, results[i - 1].base.ts) << i;
   }
 }
 

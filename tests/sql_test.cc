@@ -204,6 +204,20 @@ TEST(BinderTest, UnknownAggregateRejected) {
   EXPECT_FALSE(s.ok());
 }
 
+TEST(BinderTest, MultiAggregateSelectRejected) {
+  // Two features over one window are two standing queries; a second
+  // select item must not be dropped silently.
+  QuerySpec spec;
+  const Status s = CompileQuery(
+      "SELECT sum(v), max(v) OVER w FROM S WINDOW w AS (UNION R PARTITION "
+      "BY k ORDER BY ts ROWS_RANGE BETWEEN 1s PRECEDING AND CURRENT ROW)",
+      &spec);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), Status::Code::kParseError);
+  EXPECT_NE(s.message().find("one aggregate per query"), std::string::npos)
+      << s.message();
+}
+
 TEST(BinderTest, AllAggregatesBind) {
   for (const char* agg : {"sum", "count", "avg", "min", "max"}) {
     QuerySpec spec;

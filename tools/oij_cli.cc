@@ -19,9 +19,9 @@
 //       measured disorder (= minimum exact lateness).
 //   oij_cli trace-convert <in> <out>
 //       Convert between binary and CSV traces (by file extension).
-//   oij_cli trace-run <trace[.csv]> <engine> [joiners]
-//       Replay a trace through an engine with the measured disorder as
-//       lateness.
+//   oij_cli trace-run <trace[.csv]> <workload.conf|preset> <engine> [joiners]
+//       Replay a trace through an engine with the workload's window and
+//       the trace's measured disorder as lateness.
 
 #include <cstdio>
 #include <cstdlib>
@@ -270,9 +270,10 @@ int CmdTraceConvert(int argc, char** argv) {
 }
 
 int CmdTraceRun(int argc, char** argv) {
-  if (argc < 2) {
+  if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: oij_cli trace-run <trace> <engine> [joiners]\n");
+                 "usage: oij_cli trace-run <trace> <workload> <engine> "
+                 "[joiners]\n");
     return 2;
   }
   std::vector<StreamEvent> events;
@@ -281,18 +282,20 @@ int CmdTraceRun(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
+  WorkloadSpec workload;
+  if (!LoadWorkload(argv[1], &workload)) return 1;
   EngineKind kind;
-  s = EngineKindFromName(argv[1], &kind);
+  s = EngineKindFromName(argv[2], &kind);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   const Timestamp disorder = MeasureDisorder(events);
   QuerySpec query;
-  query.window = IntervalWindow{1'000'000, 0};  // 1 s window default
+  query.window = workload.window;
   query.lateness_us = disorder;
   EngineOptions options;
-  options.num_joiners = argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2]))
+  options.num_joiners = argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3]))
                                  : 4;
   NullSink sink;
   auto engine = CreateEngine(kind, query, options, &sink);
@@ -305,7 +308,7 @@ int CmdTraceRun(int argc, char** argv) {
     std::fprintf(stderr, "interrupted: drained after %llu tuples\n",
                  static_cast<unsigned long long>(run.tuples));
   }
-  std::printf("%s", SummarizeRun(argv[1], run).c_str());
+  std::printf("%s", SummarizeRun(argv[2], run).c_str());
   return 0;
 }
 
