@@ -166,8 +166,9 @@ class ColumnarBatchStage {
 
 /// Probe tuples of one key-group, gathered into contiguous ts/payload
 /// columns. Sources append in timestamp order each (skip-list second
-/// layers are ts-sorted); with several sources (team members, annex) the
-/// concatenation is re-sorted on Finish.
+/// layers are ts-sorted), so the columns hold one sorted run per source
+/// that broke monotonic order (team members, annex); Append records
+/// where each run starts and EnsureSorted merges the runs.
 class ProbeColumns {
  public:
   explicit ProbeColumns(NodeArena* arena = nullptr)
@@ -176,19 +177,23 @@ class ProbeColumns {
   void Clear() {
     ts_.Clear();
     payload_.Clear();
-    sorted_ = true;
+    run_starts_.clear();
     finite_ = true;
   }
 
   void Append(Timestamp ts, double payload) {
-    if (!ts_.empty() && ts < ts_[ts_.size() - 1]) sorted_ = false;
+    if (!ts_.empty() && ts < ts_[ts_.size() - 1]) {
+      run_starts_.push_back(static_cast<uint32_t>(ts_.size()));
+    }
     if (!std::isfinite(payload)) finite_ = false;
     ts_.PushBack(ts);
     payload_.PushBack(payload);
   }
 
-  /// Sorts the columns by ts if any source broke monotonicity (stable,
-  /// so equal timestamps keep source order). Call once after gathering.
+  /// Merges the runs into one ts-sorted sequence, bottom-up through the
+  /// scratch columns (which only ever grow). Ties take the earlier run
+  /// first, so the result is exactly a stable sort of the append order.
+  /// Call once after gathering.
   void EnsureSorted();
 
   size_t size() const { return ts_.size(); }
@@ -203,10 +208,11 @@ class ProbeColumns {
  private:
   ColumnBuffer<Timestamp> ts_;
   ColumnBuffer<double> payload_;
-  std::vector<uint32_t> scratch_order_;
+  /// Start of every run but the first (which starts at 0); empty while
+  /// the columns are sorted. EnsureSorted reuses it for run bounds.
+  std::vector<uint32_t> run_starts_;
   std::vector<Timestamp> scratch_ts_;
   std::vector<double> scratch_payload_;
-  bool sorted_ = true;
   bool finite_ = true;
 };
 

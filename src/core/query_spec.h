@@ -15,9 +15,10 @@ namespace oij {
 enum class EmitMode : uint8_t {
   /// Join-on-arrival (Flink interval-join style, and what the paper's
   /// latency figures imply: Workload A has 1 s lateness yet 10 ms
-  /// latencies). A base tuple is finalized at the end of the ring batch
-  /// it arrived in (once its FOL offset has been observed), against
-  /// everything buffered by then. Probes that arrive after that are
+  /// latencies). A base tuple is finalized at the end of its ring burst,
+  /// at most one ring of events later (once its FOL offset has been
+  /// observed), against everything buffered by then. Probes that arrive
+  /// after that are
   /// missed, so under disorder d ≤ lateness a result is sandwiched: it
   /// never over-counts and never misses a probe more than d older than
   /// its window end.

@@ -57,10 +57,18 @@ std::string SummarizeRun(const std::string& label, const RunResult& run) {
   std::snprintf(
       buf, sizeof(buf),
       "  breakdown lookup=%.0f%% match=%.0f%% other=%.0f%%  "
+      "visited/op=%.1f columnar=%.0f%%  "
       "effectiveness=%.3f  unbalancedness=%.3f  rebalances=%llu\n",
       st.breakdown.lookup_fraction() * 100.0,
       st.breakdown.match_fraction() * 100.0,
-      st.breakdown.other_fraction() * 100.0, st.Effectiveness(),
+      st.breakdown.other_fraction() * 100.0,
+      st.join_ops == 0 ? 0.0
+                       : static_cast<double>(st.visited) /
+                             static_cast<double>(st.join_ops),
+      st.results == 0 ? 0.0
+                      : static_cast<double>(st.columnar_bases) * 100.0 /
+                            static_cast<double>(st.results),
+      st.Effectiveness(),
       st.ActualUnbalancedness(),
       static_cast<unsigned long long>(st.rebalances));
   out += buf;

@@ -771,6 +771,11 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   // counter bump per batch rather than per event.
   const size_t drain_batch = std::max<size_t>(batch_size_, 64);
   std::vector<Event> batch(drain_batch);
+  BurstFinalizer burst(drain_batch, queues_[joiner]->capacity());
+  auto finalize = [&] {
+    OnBatchEnd(joiner);
+    burst.Finalized();
+  };
   bool flushed = false;
   bool aborted = false;
   while (!flushed && !aborted && !stop_requested()) {
@@ -808,12 +813,12 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
             flushed = true;
             break;
           case Event::Kind::kSnapshot:
-            OnBatchEnd(joiner);
+            finalize();
             HandleSnapshotEvent(joiner,
                                 static_cast<uint64_t>(ev.watermark));
             break;
           case Event::Kind::kAddQuery: {
-            OnBatchEnd(joiner);
+            finalize();
             JoinerView& view = joiner_views_[joiner];
             QueryRuntime* q = ev.query;
             if (view.queries.size() <= q->ord) {
@@ -826,19 +831,20 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
             break;
           }
           case Event::Kind::kRemoveQuery:
-            OnBatchEnd(joiner);
+            finalize();
             joiner_views_[joiner].accepting[ev.query->ord] = false;
             OnRemoveQuery(joiner, ev.query->ord);
             break;
         }
         if (flushed) break;
       }
-      if (!flushed && !aborted) OnBatchEnd(joiner);
+      if (!flushed && !aborted && burst.AfterPop(got)) OnBatchEnd(joiner);
       consumed_[joiner].value.fetch_add(processed,
                                         std::memory_order_relaxed);
       if (flushed || aborted || stop_requested()) break;
       got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     } while (got > 0);
+    if (!flushed && !aborted && burst.owed()) finalize();
 
     add_busy(busy_start, MonotonicNowNs());
   }

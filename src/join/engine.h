@@ -460,6 +460,41 @@ class JoinEngine {
   virtual std::string_view name() const = 0;
 };
 
+/// When the joiner loop finalizes (ParallelEngineBase::OnBatchEnd): once
+/// per ring burst. A pop shorter than a full chunk means the ring ran
+/// dry, which ends the burst. A saturated ring never runs dry, so a burst
+/// is also cut once the events popped since the last finalize reach the
+/// ring's capacity: a base then waits at most one ring of its joiner's
+/// events. Finalizing later only lets a base see more of its in-window
+/// probes, never one outside its window.
+class BurstFinalizer {
+ public:
+  /// `chunk`: the most events one pop returns; `capacity`: the ring's.
+  BurstFinalizer(size_t chunk, size_t capacity)
+      : chunk_(chunk), capacity_(capacity) {}
+
+  /// Counts a processed pop of `got` events. True when the loop should
+  /// finalize now; the count then restarts.
+  bool AfterPop(size_t got) {
+    unfinalized_ += got;
+    if (got >= chunk_ && unfinalized_ < capacity_) return false;
+    unfinalized_ = 0;
+    return true;
+  }
+
+  /// True while popped events still await a finalize.
+  bool owed() const { return unfinalized_ > 0; }
+
+  /// Records a finalize the loop made outside AfterPop (a barrier event,
+  /// or the end of a burst).
+  void Finalized() { unfinalized_ = 0; }
+
+ private:
+  size_t chunk_;
+  size_t capacity_;
+  size_t unfinalized_ = 0;
+};
+
 /// Shared implementation for the queue-per-joiner engines (Key-OIJ,
 /// Scale-OIJ, SplitJoin): thread lifecycle, punctuation broadcast, the
 /// joiner event loop, and stats merging. Subclasses implement routing and
@@ -513,12 +548,13 @@ class ParallelEngineBase : public JoinEngine {
   virtual void OnRemoveQuery(uint32_t /*joiner*/, uint32_t /*ord*/) {}
 
   /// The joiner loop's one finalize point for per-tuple work: called
-  /// after each ring batch the joiner has processed (unless it flushed
-  /// or aborted), and before every kSnapshot, kAddQuery and kRemoveQuery
-  /// event, so snapshot cuts and catalog barriers see every base that
-  /// was ready before them finalized. Engines that defer finalization
-  /// out of OnTuple drain here, so the ready bases of one batch share
-  /// one drain (and can reach the columnar kernels).
+  /// once per ring burst the joiner has processed, as BurstFinalizer
+  /// decides (never after a flush or an abort), and before every
+  /// kSnapshot, kAddQuery and kRemoveQuery event, so snapshot cuts and
+  /// catalog barriers see every base that was ready before them
+  /// finalized. Engines that defer finalization out of OnTuple drain
+  /// here, so the ready bases of one burst share one drain (and reach
+  /// the columnar kernels).
   virtual void OnBatchEnd(uint32_t /*joiner*/) {}
 
   /// Called when the joiner's queue is momentarily empty; engines poll

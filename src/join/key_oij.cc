@@ -119,13 +119,14 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, base, arrival_us);
         },
-        // One transpose of the key's buffer per group replaces one full
-        // scan per base.
-        [&](Key key, Timestamp, Timestamp, col::ProbeColumns* probes) {
+        // One scan of the key's buffer per group replaces one full scan
+        // per base. Every buffered tuple counts as visited, but only the
+        // group's union window is transposed: the slices read no more.
+        [&](Key key, Timestamp lo, Timestamp hi, col::ProbeColumns* probes) {
           uint64_t visited = 0;
           ScanKey(s, qspec, key, [&](const Tuple& r) {
             ++visited;
-            probes->Append(r.ts, r.payload);
+            if (r.ts >= lo && r.ts <= hi) probes->Append(r.ts, r.payload);
           });
           return visited;
         },

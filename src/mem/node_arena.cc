@@ -1,13 +1,46 @@
 #include "mem/node_arena.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <new>
 
 #include "topo/topology.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define OIJ_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OIJ_ARENA_ASAN 1
+#endif
+#endif
+
+#ifdef OIJ_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace oij {
 
 namespace {
+
+// ASan cannot see memory the arena recycles internally. In ASan builds
+// every block or slab byte not handed out is poisoned, so a read through
+// a freed node (or a returned column slab) reports use-after-poison.
+// Blocks are poisoned at their real free (Deallocate, run by the epoch
+// drain), never at retire: readers still walk retired runs.
+inline void Poison([[maybe_unused]] const void* p,
+                   [[maybe_unused]] size_t bytes) {
+#ifdef OIJ_ARENA_ASAN
+  ASAN_POISON_MEMORY_REGION(p, bytes);
+#endif
+}
+inline void Unpoison([[maybe_unused]] const void* p,
+                     [[maybe_unused]] size_t bytes) {
+#ifdef OIJ_ARENA_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#endif
+}
+
 /// Single-writer counter bump: only the owner thread mutates, metrics
 /// threads just read, so a relaxed load+store suffices — no locked RMW
 /// on the allocation hot path.
@@ -22,8 +55,9 @@ inline void Drop(std::atomic<uint64_t>& c, uint64_t delta) {
 }  // namespace
 
 NodeArena::~NodeArena() {
-  for (Slab* slab : all_slabs_) {
-    ::operator delete(slab, std::align_val_t{kSlabBytes});
+  for (char* chunk : chunks_) {
+    Unpoison(chunk, kChunkBytes);
+    munmap(chunk, kChunkBytes);
   }
 }
 
@@ -43,9 +77,11 @@ void* NodeArena::Allocate(size_t bytes) {
   void* block;
   if (slab->free_head != nullptr) {
     block = slab->free_head;
+    Unpoison(block, class_bytes);
     slab->free_head = *static_cast<void**>(block);
   } else {
     block = reinterpret_cast<char*>(slab) + kDataOffset + slab->bump;
+    Unpoison(block, class_bytes);
     slab->bump += class_bytes;
   }
   ++slab->live;
@@ -66,6 +102,7 @@ void NodeArena::Deallocate(void* ptr, size_t bytes) {
   const size_t cls = ClassIndex(slab->class_bytes);
   *static_cast<void**>(ptr) = slab->free_head;
   slab->free_head = ptr;
+  Poison(ptr, slab->class_bytes);
   --slab->live;
   if (!slab->in_usable) LinkUsable(cls, slab);
   if (slab->live == 0) {
@@ -88,17 +125,17 @@ void* NodeArena::AcquireSlab() {
   if (slab != nullptr) {
     empty_ = slab->next;
   } else {
-    slab = new (NewRawSlab()) Slab();
-    all_slabs_.push_back(slab);
-    Bump(reserved_bytes_, kSlabBytes);
+    slab = NewSlab();
   }
   // The borrower may overwrite the whole slab, header included;
   // ReleaseSlab() rebuilds it before the slab re-enters the pool.
+  Unpoison(slab, kSlabBytes);
   return slab;
 }
 
 void NodeArena::ReleaseSlab(void* slab) {
   Slab* s = new (slab) Slab();
+  Poison(reinterpret_cast<char*>(s) + kDataOffset, kSlabBytes - kDataOffset);
   s->next = empty_;
   empty_ = s;
 }
@@ -109,17 +146,34 @@ NodeArena::Slab* NodeArena::TakeSlab(uint32_t class_bytes) {
     empty_ = slab->next;
     slab->next = nullptr;
   } else {
-    slab = new (NewRawSlab()) Slab();
-    all_slabs_.push_back(slab);
-    Bump(reserved_bytes_, kSlabBytes);
+    slab = NewSlab();
   }
   slab->class_bytes = class_bytes;
   LinkUsable(ClassIndex(class_bytes), slab);
   return slab;
 }
 
-void* NodeArena::NewRawSlab() {
-  void* raw = ::operator new(kSlabBytes, std::align_val_t{kSlabBytes});
+NodeArena::Slab* NodeArena::NewSlab() {
+  if (chunk_next_ == chunk_end_) {
+    // Over-map by one slab, then trim to a kSlabBytes-aligned chunk.
+    const size_t span = kChunkBytes + kSlabBytes;
+    void* mapped = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapped == MAP_FAILED) throw std::bad_alloc();
+    const uintptr_t base = reinterpret_cast<uintptr_t>(mapped);
+    const uintptr_t start = (base + kSlabBytes - 1) & ~(kSlabBytes - 1);
+    const uintptr_t end = start + kChunkBytes;
+    if (start > base) munmap(mapped, start - base);
+    if (base + span > end) {
+      munmap(reinterpret_cast<void*>(end), base + span - end);
+    }
+    chunk_next_ = reinterpret_cast<char*>(start);
+    chunk_end_ = chunk_next_ + kChunkBytes;
+    chunks_.push_back(chunk_next_);
+  }
+  void* raw = chunk_next_;
+  chunk_next_ += kSlabBytes;
+  Bump(reserved_bytes_, kSlabBytes);
   if (numa_node_ >= 0) {
     // Slabs are kSlabBytes-self-aligned, so the bind covers whole pages.
     // Best-effort: on failure (no SYS_mbind, invalid node) the pages are
@@ -129,7 +183,11 @@ void* NodeArena::NewRawSlab() {
       Bump(numa_bound_slabs_, 1);
     }
   }
-  return raw;
+  Slab* slab = new (raw) Slab();
+  // Allocate unpoisons each block as it first hands it out.
+  Poison(reinterpret_cast<char*>(slab) + kDataOffset,
+         kSlabBytes - kDataOffset);
+  return slab;
 }
 
 void NodeArena::LinkUsable(size_t cls, Slab* slab) {

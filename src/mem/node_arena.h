@@ -38,6 +38,9 @@ namespace oij {
 /// runs after the joiners have been joined). snapshot() may be called
 /// from any thread (metrics sampling); its counters are relaxed atomics.
 ///
+/// ASan builds poison every block and slab byte not handed out, so a read
+/// through a freed node reports use-after-poison.
+///
 /// Lifetime contract: the arena must outlive every skip list allocated
 /// from it *and* the EpochManager holding retired runs of its nodes —
 /// destroy order: lists, then the epoch manager, then the arena.
@@ -113,6 +116,13 @@ class NodeArena {
   };
   static_assert(sizeof(Slab) == 64, "slab header must stay one cache line");
 
+  /// Slabs are carved from kChunkSlabs-slab chunks mapped straight from
+  /// the OS, so a destroyed arena returns its memory. Taken from malloc,
+  /// the owner thread's slabs would land in its glibc thread arena, whose
+  /// top malloc_trim never releases. One mapping per chunk, not per
+  /// slab, keeps the process's mapping count low.
+  static constexpr size_t kChunkSlabs = 16;
+  static constexpr size_t kChunkBytes = kChunkSlabs * kSlabBytes;
   static constexpr size_t kNumClasses = kMaxClassBytes / kGranule;
   static constexpr size_t kDataOffset = sizeof(Slab);
 
@@ -125,13 +135,17 @@ class NodeArena {
   }
 
   Slab* TakeSlab(uint32_t class_bytes);
-  void* NewRawSlab();
+  /// Carves a fresh slab off the newest chunk, mapping a new chunk when
+  /// it is used up.
+  Slab* NewSlab();
   void LinkUsable(size_t cls, Slab* slab);
   void UnlinkUsable(size_t cls, Slab* slab);
 
   Slab* usable_[kNumClasses] = {};  ///< slabs with room, per class
   Slab* empty_ = nullptr;           ///< fully-dead slabs, any class
-  std::vector<Slab*> all_slabs_;    ///< ownership, for the destructor
+  std::vector<char*> chunks_;       ///< mapped chunks, for the destructor
+  char* chunk_next_ = nullptr;      ///< next uncarved slab of the newest
+  char* chunk_end_ = nullptr;       ///< chunk, and its end
 
   std::atomic<uint64_t> reserved_bytes_{0};
   std::atomic<uint64_t> live_nodes_{0};

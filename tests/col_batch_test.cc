@@ -336,6 +336,57 @@ TEST(ProbeColumnsTest, EnsureSortedMergesMultipleSources) {
   EXPECT_TRUE(probes.all_finite());
 }
 
+TEST(ProbeColumnsTest, RunMergeMatchesStableSort) {
+  // A team gather appends one ts-sorted run per source; EnsureSorted
+  // merges them. Fuzz 1-6 sources, with empty and 1-element runs, ties
+  // within and across runs, and sources that continue where the previous
+  // one ended (no run break): the columns must come out bit-equal to a
+  // stable sort of the concatenation by ts.
+  std::mt19937_64 rng(0x6d657267u);
+  NodeArena arena;
+  col::ProbeColumns probes(&arena);  // reused, like a driver's scratch
+  for (int iter = 0; iter < 3000; ++iter) {
+    const int sources = 1 + static_cast<int>(rng() % 6);
+    std::vector<std::pair<Timestamp, double>> want;
+    probes.Clear();
+    Timestamp last = 0;
+    for (int src = 0; src < sources; ++src) {
+      size_t len = rng() % 40;
+      if (rng() % 4 == 0) len = rng() % 2;
+      if (rng() % 64 == 0) len = 1500 + rng() % 2000;
+      // Narrow ts ranges make equal timestamps across runs common.
+      Timestamp ts = rng() % 3 == 0 ? last : static_cast<Timestamp>(rng() % 20);
+      for (size_t i = 0; i < len; ++i) {
+        ts += static_cast<Timestamp>(rng() % 3);
+        // The payload names its source and position, so a tie taken in
+        // the wrong order shows.
+        const double payload = src * 1e5 + static_cast<double>(i) + 0.5;
+        probes.Append(ts, payload);
+        want.emplace_back(ts, payload);
+      }
+      if (len > 0) last = ts;
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    probes.EnsureSorted();
+    ASSERT_EQ(probes.size(), want.size()) << "iter " << iter;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(probes.ts()[i], want[i].first) << "iter " << iter << " @" << i;
+      ASSERT_EQ(std::memcmp(&probes.payload()[i], &want[i].second,
+                            sizeof(double)),
+                0)
+          << "iter " << iter << " @" << i;
+    }
+    // Sorted columns stay put.
+    probes.EnsureSorted();
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(probes.ts()[i], want[i].first);
+    }
+  }
+}
+
 // ------------------------------------ SIMD vs portable bit-exactness
 
 TEST(VectorAggTest, SimdMatchesPortableBitExactly) {

@@ -477,9 +477,42 @@ TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
   }
 }
 
-TEST(EngineBehaviourTest, EagerFinalizesPerBatch) {
+TEST(BurstFinalizerTest, FinalizesOnShortPopOrAtCapacity) {
+  BurstFinalizer burst(/*chunk=*/64, /*capacity=*/256);
+  // Full chunks below the ring's capacity keep the burst open.
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_TRUE(burst.owed());
+  // A short pop means the ring ran dry: the burst ends.
+  EXPECT_TRUE(burst.AfterPop(10));
+  EXPECT_FALSE(burst.owed());
+  // The count restarted: three full chunks stay below capacity, the
+  // fourth reaches it.
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_TRUE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.owed());
+  EXPECT_FALSE(burst.AfterPop(64));
+  // A finalize outside AfterPop (a barrier event) restarts the count.
+  burst.Finalized();
+  EXPECT_FALSE(burst.owed());
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_FALSE(burst.AfterPop(64));
+  EXPECT_TRUE(burst.AfterPop(64));
+}
+
+TEST(BurstFinalizerTest, RingSmallerThanChunkFinalizesEveryPop) {
+  // A ring holding fewer events than one chunk can never fill a pop.
+  BurstFinalizer burst(/*chunk=*/64, /*capacity=*/16);
+  EXPECT_TRUE(burst.AfterPop(16));
+  EXPECT_TRUE(burst.AfterPop(1));
+}
+
+TEST(EngineBehaviourTest, EagerFinalizesPerBurst) {
   // Eager bases are ready on arrival, and the joiner finalizes once per
-  // ring batch, so the bases of one batch share a drain long enough for
+  // ring burst, so the bases of one burst share a drain long enough for
   // the columnar kernels. Finalizing per tuple would make every drain a
   // run of one, which never goes columnar.
   const Timestamp disorder = 80;
