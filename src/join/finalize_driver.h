@@ -121,17 +121,18 @@ class FinalizeDriver {
   /// within each group: the sweep-merge precondition.
   ///  * A run shorter than `min_run` replays `join_one(tuple, arrival)`
   ///    in pop order.
-  ///  * Otherwise each key-group of at least `min_group` bases runs
+  ///  * Otherwise each key-group of at least `min_group(key)` bases runs
   ///    `gather(key, lo, hi, &probes)` over the union window [lo, hi]
   ///    (returning how many tuples it visited), the sweep, and
   ///    `emit(group)`. Smaller groups, and groups whose probes hold a
   ///    NaN/Inf payload, replay `join_one` in sorted order.
   /// Gather and sweep are timed as lookup, emit as match. Returns
   /// whether anything was popped.
-  template <typename Ready, typename JoinOne, typename Gather, typename Emit>
+  template <typename Ready, typename MinGroup, typename JoinOne,
+            typename Gather, typename Emit>
   bool Drain(PendingQueue& pending, const IntervalWindow& window,
-             uint32_t min_run, uint32_t min_group, JoinerCounters& c,
-             Ready&& ready, JoinOne&& join_one, Gather&& gather,
+             uint32_t min_run, JoinerCounters& c, Ready&& ready,
+             MinGroup&& min_group, JoinOne&& join_one, Gather&& gather,
              Emit&& emit) {
     stage_.Clear();
     while (!pending.empty() && ready(pending.top().tuple)) {
@@ -152,7 +153,7 @@ class FinalizeDriver {
         }
       };
       const size_t n = end - begin;
-      if (n < min_group) return replay();
+      if (n < min_group(key)) return replay();
 
       group_ts_.resize(n);
       for (size_t i = 0; i < n; ++i) group_ts_[i] = stage_.SortedTs(begin + i);

@@ -113,9 +113,9 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     const QuerySpec& qspec = q->spec;
     s.driver.Drain(
-        s.slots[q->ord].pending, qspec.window, options().columnar_min_run,
-        FinalizeDriver::kMinGroup, s,
+        s.slots[q->ord].pending, qspec.window, options().columnar_min_run, s,
         [&](const Tuple& t) { return t.ts + qspec.window.fol <= threshold; },
+        [](Key) { return FinalizeDriver::kMinGroup; },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, base, arrival_us);
         },

@@ -8,6 +8,15 @@
 namespace oij {
 
 namespace {
+/// Whether a key's carried Subtract-on-Evict window is worth sliding. A
+/// window of fewer probes is rescanned instead: a rescan descends the
+/// index once, a slide twice (subtract and add ranges). Two-Stacks
+/// evicts in memory and always slides.
+constexpr uint64_t kMinSlideProbes = 32;
+bool WorthSliding(const IncrementalWindowState& inc) {
+  return inc.valid() && inc.agg().count >= kMinSlideProbes;
+}
+
 /// The rebalancer config actually run: the user's knobs plus, when
 /// placement resolved a multi-node machine, the per-joiner node map
 /// that makes replication prefer same-socket targets.
@@ -254,24 +263,27 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     const QuerySpec& qspec = q->spec;
     QuerySlot& slot = s.slots[q->ord];
-    // The invertible incremental path carries window state across
-    // drains and only pays each base's delta, while the columnar gather
-    // re-reads the group's whole union window: that only pays off once
-    // the saved per-base index descents outweigh the re-read (~2x the
-    // generic group floor, empirically).
-    const uint32_t min_group =
-        options().incremental_agg && IsInvertible(qspec.agg)
-            ? 2 * FinalizeDriver::kMinGroup
-            : FinalizeDriver::kMinGroup;
     // Loaded once per group by its gather; the emit must agree with it.
     bool scan_annex = false;
     popped |= s.driver.Drain(
-        slot.pending, qspec.window, options().columnar_min_run, min_group, s,
+        slot.pending, qspec.window, options().columnar_min_run, s,
         [&](const Tuple& t) {
           const uint32_t p =
               PartitionTable::PartitionOf(t.key, options().num_partitions);
           return qspec.window.end_for(t.ts) <=
                  TeamMinProgress(s.schedule->teams[p]);
+        },
+        // A group re-reads its whole union window, where a sliding key's
+        // per-base path reads only each base's delta: against a sliding
+        // key a group must share its gather among twice as many bases.
+        [&](Key key) {
+          const auto it = slot.inc_states.find(key);
+          const bool slides = options().incremental_agg &&
+                              IsInvertible(qspec.agg) && !ScanAnnex(qspec) &&
+                              it != slot.inc_states.end() &&
+                              WorthSliding(it->second);
+          return slides ? 2 * FinalizeDriver::kMinGroup
+                        : FinalizeDriver::kMinGroup;
         },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, slot, base, arrival_us);
@@ -358,6 +370,7 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
         if (IsInvertible(qspec.agg)) {
           // Subtract-on-Evict: only sum/count are maintained.
           IncrementalWindowState& inc = slot.inc_states[base.key];
+          if (!WorthSliding(inc)) inc.Invalidate();
           inc.Slide(start, carried_end, qspec.agg, scan);
           agg = inc.agg();
         } else {

@@ -104,6 +104,54 @@ QuerySpec TestQuery(EmitMode mode, AggKind agg = AggKind::kSum,
   return q;
 }
 
+/// Eager mode under disorder misses only probes that arrive after their
+/// base tuple; the generator bounds those to ts in (end - disorder,
+/// end]. Hence every eager result is sandwiched between the exact
+/// aggregate of the full window and that of the window with its last
+/// `disorder` microseconds removed.
+void ExpectSandwiched(const std::vector<StreamEvent>& events,
+                      const QuerySpec& q, Timestamp disorder,
+                      const EngineRun& run) {
+  auto full = ReferenceJoin(events, q);
+  SortResults(&full);
+  // Lower bound: probes in [start, end - disorder - 1] can never be
+  // missed (they cannot arrive after the base tuple).
+  std::unordered_map<Key, std::vector<Timestamp>> probe_ts;
+  for (const auto& e : events) {
+    if (e.stream == StreamId::kProbe) {
+      probe_ts[e.tuple.key].push_back(e.tuple.ts);
+    }
+  }
+  for (auto& [key, ts] : probe_ts) std::sort(ts.begin(), ts.end());
+  auto lower_ref = [&](const Tuple& base) -> uint64_t {
+    const std::vector<Timestamp>& ts = probe_ts[base.key];
+    const auto lo = std::lower_bound(ts.begin(), ts.end(),
+                                     q.window.start_for(base.ts));
+    const auto hi = std::upper_bound(
+        ts.begin(), ts.end(), q.window.end_for(base.ts) - disorder - 1);
+    return hi > lo ? static_cast<uint64_t>(hi - lo) : 0;
+  };
+
+  ASSERT_EQ(run.results.size(), full.size());
+  uint64_t got_total = 0;
+  uint64_t full_total = 0;
+  for (size_t i = 0; i < run.results.size(); ++i) {
+    ASSERT_EQ(run.results[i].base, full[i].base);
+    ASSERT_LE(run.results[i].match_count, full[i].match_count)
+        << "eager must never over-count";
+    ASSERT_GE(run.results[i].match_count, lower_ref(run.results[i].base))
+        << "eager missed a probe outside the disorder bound";
+    got_total += run.results[i].match_count;
+    full_total += full[i].match_count;
+  }
+  // The aggregate deficit is a small fraction: only probes inside the
+  // final `disorder` microseconds of a window can be missed, and only
+  // when they actually arrive after the base tuple.
+  ASSERT_GT(full_total, 0u);
+  EXPECT_GT(static_cast<double>(got_total) / static_cast<double>(full_total),
+            0.95);
+}
+
 // ------------------------------------------------ exactness: watermark mode
 
 /// Every engine except the intentionally sloppy OpenMLDB-like baseline
@@ -384,6 +432,89 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
   EXPECT_LT(inc.stats.visited, full.stats.visited / 5);
 }
 
+/// Scale-OIJ on the `default` shape (100 keys, 2 joiners, ~5 bases of
+/// each key per punctuation, around the group bar) with window
+/// [ts - pre, ts], incremental aggregation on and then off. The results
+/// of the two runs must be equal.
+std::pair<EngineRun, EngineRun> RunIncAndRecompute(Timestamp pre) {
+  WorkloadSpec w = TestWorkload(151, /*keys=*/100, /*disorder=*/100);
+  w.window = IntervalWindow{pre, 0};
+  w.total_tuples = 100'000;
+  const QuerySpec q =
+      TestQuery(EmitMode::kWatermark, AggKind::kSum, 100, {pre, 0});
+  const auto events = Generate(w);
+
+  EngineOptions options;
+  options.num_joiners = 2;
+  const uint64_t wm_every = 1024;
+  options.incremental_agg = true;
+  auto inc = RunOverEvents(EngineKind::kScaleOij, events, q, options, wm_every);
+  options.incremental_agg = false;
+  auto full =
+      RunOverEvents(EngineKind::kScaleOij, events, q, options, wm_every);
+  ExpectResultsEqual(inc.results, full.results, "inc-vs-full");
+  return {std::move(inc), std::move(full)};
+}
+
+TEST(EngineBehaviourTest, IncrementalKeepsColumnarShareOnSmallWindows) {
+  // |w| = 1000 us, ~5 matches a window. A columnar group takes
+  // invertible windows from prefix sums at O(1) per base, and windows
+  // this small are rescanned rather than slid, so incremental
+  // aggregation must not keep bases away from the group.
+  const auto [inc, full] = RunIncAndRecompute(1000);
+  ASSERT_GT(full.stats.columnar_bases, 0u);
+  EXPECT_GE(static_cast<double>(inc.stats.columnar_bases),
+            0.9 * static_cast<double>(full.stats.columnar_bases));
+}
+
+TEST(EngineBehaviourTest, IncrementalSlidesLargeWindowsPastSmallGroups) {
+  // |w| = 20 ms, ~100 matches a window. A group re-reads its whole union
+  // window while a sliding key reads only each base's delta, so small
+  // groups of a sliding key must stay per base.
+  const auto [inc, full] = RunIncAndRecompute(20'000);
+  // ~1/4 when small groups slide; over 1/2 when they re-gather.
+  EXPECT_LT(inc.stats.visited, full.stats.visited / 3);
+}
+
+TEST(EngineBehaviourTest, PerBaseRescanIsExactAcrossTheSlideCutoff) {
+  // A carried Subtract-on-Evict window of few probes is rescanned
+  // instead of slid (kMinSlideProbes in scale_oij.cc). Zipf keys put
+  // per-key window populations on both sides of that cutoff, so a sum
+  // key's consecutive bases switch between sliding and rescanning; max
+  // (Two-Stacks, which always slides) runs over the same populations.
+  const Timestamp disorder = 80;
+  WorkloadSpec w = TestWorkload(161, /*keys=*/50, disorder);
+  w.window = IntervalWindow{1000, 0};
+  w.key_distribution = KeyDistribution::kZipf;
+  w.zipf_theta = 1.0;
+  const auto events = Generate(w);
+
+  EngineOptions options;
+  options.num_joiners = 2;
+  options.columnar_min_run = UINT32_MAX;  // per-base path only
+  for (AggKind agg : {AggKind::kSum, AggKind::kMax}) {
+    SCOPED_TRACE(std::string(AggKindName(agg)));
+    const QuerySpec wq =
+        TestQuery(EmitMode::kWatermark, agg, disorder, {1000, 0});
+    auto expected = ReferenceJoin(events, wq);
+    SortResults(&expected);
+    const auto [fewest, most] = std::minmax_element(
+        expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+          return a.match_count < b.match_count;
+        });
+    // The populations must straddle the cutoff for this test to bite.
+    ASSERT_LT(fewest->match_count, 8u);
+    ASSERT_GT(most->match_count, 64u);
+    ExpectResultsEqual(
+        RunOverEvents(EngineKind::kScaleOij, events, wq, options).results,
+        expected, "watermark");
+
+    const QuerySpec eq = TestQuery(EmitMode::kEager, agg, disorder, {1000, 0});
+    ExpectSandwiched(events, eq, disorder,
+                     RunOverEvents(EngineKind::kScaleOij, events, eq, options));
+  }
+}
+
 TEST(EngineBehaviourTest, DynamicScheduleBalancesFewKeys) {
   // 2 keys on 4 joiners: Key-OIJ leaves half the joiners idle; Scale-OIJ's
   // dynamic schedule spreads the load (Fig 13a/c).
@@ -407,39 +538,15 @@ TEST(EngineBehaviourTest, DynamicScheduleBalancesFewKeys) {
 }
 
 TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
-  // Eager mode under disorder misses only probes that arrive after their
-  // base tuple; the generator bounds those to ts in (end - disorder,
-  // end]. Hence every eager result is sandwiched between the exact
-  // aggregate of the full window and that of the window with its last
-  // `disorder` microseconds removed. This must hold on every finalize
-  // path: per-base slides (columnar_min_run = UINT32_MAX) and columnar
-  // groups, invertible and Two-Stacks aggregates, one and two joiners.
+  // The sandwich must hold on every finalize path: per-base slides
+  // (columnar_min_run = UINT32_MAX) and columnar groups, invertible and
+  // Two-Stacks aggregates, one and two joiners.
   const Timestamp disorder = 80;
   WorkloadSpec w = TestWorkload(141, /*keys=*/4, disorder);
   const auto events = Generate(w);
 
-  // Lower bound: probes in [start, end - disorder - 1] can never be
-  // missed (they cannot arrive after the base tuple).
-  std::unordered_map<Key, std::vector<Timestamp>> probe_ts;
-  for (const auto& e : events) {
-    if (e.stream == StreamId::kProbe) {
-      probe_ts[e.tuple.key].push_back(e.tuple.ts);
-    }
-  }
-  for (auto& [key, ts] : probe_ts) std::sort(ts.begin(), ts.end());
-  auto lower_ref = [&](const QuerySpec& q, const Tuple& base) -> uint64_t {
-    const std::vector<Timestamp>& ts = probe_ts[base.key];
-    const auto lo = std::lower_bound(ts.begin(), ts.end(),
-                                     q.window.start_for(base.ts));
-    const auto hi = std::upper_bound(
-        ts.begin(), ts.end(), q.window.end_for(base.ts) - disorder - 1);
-    return hi > lo ? static_cast<uint64_t>(hi - lo) : 0;
-  };
-
   for (AggKind agg : {AggKind::kCount, AggKind::kMin}) {
     const QuerySpec q = TestQuery(EmitMode::kEager, agg, disorder);
-    auto full = ReferenceJoin(events, q);
-    SortResults(&full);
     for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
       for (uint32_t joiners : {1u, 2u}) {
         for (bool columnar : {true, false}) {
@@ -450,27 +557,8 @@ TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
           EngineOptions options;
           options.num_joiners = joiners;
           if (!columnar) options.columnar_min_run = UINT32_MAX;
-          const auto run = RunOverEvents(kind, events, q, options);
-          ASSERT_EQ(run.results.size(), full.size());
-          uint64_t got_total = 0;
-          uint64_t full_total = 0;
-          for (size_t i = 0; i < run.results.size(); ++i) {
-            ASSERT_EQ(run.results[i].base, full[i].base);
-            ASSERT_LE(run.results[i].match_count, full[i].match_count)
-                << "eager must never over-count";
-            ASSERT_GE(run.results[i].match_count,
-                      lower_ref(q, run.results[i].base))
-                << "eager missed a probe outside the disorder bound";
-            got_total += run.results[i].match_count;
-            full_total += full[i].match_count;
-          }
-          // The aggregate deficit is a small fraction: only probes inside
-          // the final `disorder` microseconds of a window can be missed,
-          // and only when they actually arrive after the base tuple.
-          ASSERT_GT(full_total, 0u);
-          EXPECT_GT(static_cast<double>(got_total) /
-                        static_cast<double>(full_total),
-                    0.95);
+          ExpectSandwiched(events, q, disorder,
+                           RunOverEvents(kind, events, q, options));
         }
       }
     }
