@@ -1,10 +1,11 @@
 // Extension bench (paper future work: "incremental computing for
-// non-invertible operators"): max() windows with the Two-Stacks
-// incremental state vs full recomputation, across window sizes.
+// non-invertible operators"): max() over resident key windows (delta
+// gathers, one monotonic-deque pass per finalize) vs full recomputation,
+// across window sizes.
 //
 // Expected shape: like Fig 16 but for a non-invertible operator — full
-// recomputation collapses with window size while Two-Stacks stays flat,
-// at the cost of the FIFO's memory.
+// recomputation collapses with window size while the incremental arm
+// stays flat, at the cost of the resident window's memory.
 
 #include <algorithm>
 
@@ -17,7 +18,7 @@ int main() {
   PrintTitle("Ext/two-stacks",
              "incremental max() (non-invertible) vs window size");
   std::printf("%-14s %18s %18s %14s\n", "window", "recompute",
-              "two-stacks", "visits/op");
+              "incremental", "visits/op");
 
   for (Timestamp window : {1000LL, 10'000LL, 50'000LL, 100'000LL}) {
     WorkloadSpec w = DefaultSynthetic();

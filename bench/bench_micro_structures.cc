@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the substrate data structures:
 // the SWMR skip-list / time-travel index against the unsorted-buffer
-// strategy Key-OIJ uses, plus the SPSC queue and the incremental window.
+// strategy Key-OIJ uses, plus the node arena and the SPSC queue.
 // These quantify the constant factors behind the figure-level results.
 
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include "ebr/epoch_manager.h"
 #include "mem/node_arena.h"
 #include "skiplist/time_travel_index.h"
-#include "window/incremental_window.h"
 
 namespace oij {
 namespace {
@@ -298,55 +297,6 @@ BENCHMARK(BM_SpscQueueBatchRoundTrip)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256);
-
-/// Incremental slide vs full recompute over a dense store; `range(0)` is
-/// the window population, slide step fixed at 16 tuples.
-void BM_IncrementalSlide(benchmark::State& state) {
-  const int64_t window = state.range(0);
-  NodeArena arena;
-  TimeTravelIndex index(arena);
-  const int64_t n = window * 20;
-  for (int64_t i = 0; i < n; ++i) index.Insert(Tuple{i, 1, 1.0});
-  auto scan = [&](Timestamp lo, Timestamp hi, auto&& fn) {
-    index.ForEachInRange(1, lo, hi, fn);
-  };
-  IncrementalWindowState st;
-  Timestamp start = 0;
-  for (auto _ : state) {
-    st.Slide(start, start + window - 1, AggKind::kSum, scan);
-    benchmark::DoNotOptimize(st.agg().sum);
-    start += 16;
-    if (start + window >= n) {
-      start = 0;
-      st.Invalidate();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IncrementalSlide)
-    ->Arg(bench::ScaledArg(1000))
-    ->Arg(bench::ScaledArg(10000));
-
-void BM_FullRecompute(benchmark::State& state) {
-  const int64_t window = state.range(0);
-  NodeArena arena;
-  TimeTravelIndex index(arena);
-  const int64_t n = window * 20;
-  for (int64_t i = 0; i < n; ++i) index.Insert(Tuple{i, 1, 1.0});
-  Timestamp start = 0;
-  for (auto _ : state) {
-    AggState agg;
-    index.ForEachInRange(1, start, start + window - 1,
-                         [&](const Tuple& t) { agg.Add(t.payload); });
-    benchmark::DoNotOptimize(agg.sum);
-    start += 16;
-    if (start + window >= n) start = 0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FullRecompute)
-    ->Arg(bench::ScaledArg(1000))
-    ->Arg(bench::ScaledArg(10000));
 
 }  // namespace
 }  // namespace oij

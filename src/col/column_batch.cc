@@ -48,20 +48,22 @@ void MergeRuns(const Timestamp* ts, const double* payload, size_t a,
 
 }  // namespace
 
-void ProbeColumns::EnsureSorted() {
+void ProbeColumns::EnsureSorted(size_t from) {
   if (run_starts_.empty()) return;
-  const size_t n = ts_.size();
+  const size_t n = ts_.size() - from;
   if (scratch_ts_.size() < n) {
     scratch_ts_.resize(n);
     scratch_payload_.resize(n);
   }
-  // bounds[r] .. bounds[r + 1] is run r; each pass merges run pairs
-  // (2r, 2r + 1) from src into dst, halving the run count.
+  // bounds[r] .. bounds[r + 1] is run r, counted from `from`; each pass
+  // merges run pairs (2r, 2r + 1) from src into dst, halving the run
+  // count.
   std::vector<uint32_t>& bounds = run_starts_;
+  for (uint32_t& b : bounds) b -= static_cast<uint32_t>(from);
   bounds.insert(bounds.begin(), 0u);
   bounds.push_back(static_cast<uint32_t>(n));
-  Timestamp* src_ts = ts_.data();
-  double* src_payload = payload_.data();
+  Timestamp* src_ts = ts_.data() + from;
+  double* src_payload = payload_.data() + from;
   Timestamp* dst_ts = scratch_ts_.data();
   double* dst_payload = scratch_payload_.data();
   while (bounds.size() > 2) {
@@ -82,9 +84,9 @@ void ProbeColumns::EnsureSorted() {
     std::swap(src_ts, dst_ts);
     std::swap(src_payload, dst_payload);
   }
-  if (src_ts != ts_.data()) {
-    std::copy(src_ts, src_ts + n, ts_.data());
-    std::copy(src_payload, src_payload + n, payload_.data());
+  if (src_ts != ts_.data() + from) {
+    std::copy(src_ts, src_ts + n, ts_.data() + from);
+    std::copy(src_payload, src_payload + n, payload_.data() + from);
   }
   run_starts_.clear();
 }

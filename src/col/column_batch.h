@@ -50,6 +50,16 @@ class ColumnBuffer {
 
   void Clear() { size_ = 0; }
 
+  /// Keeps the first `n` entries (n <= size()).
+  void Truncate(size_t n) { size_ = n; }
+
+  /// Drops the first `n` entries (n <= size()), moving the rest down.
+  void EraseFront(size_t n) {
+    if (n == 0) return;
+    std::memmove(data_, data_ + n, (size_ - n) * sizeof(T));
+    size_ -= n;
+  }
+
   T* data() { return data_; }
   const T* data() const { return data_; }
   size_t size() const { return size_; }
@@ -164,6 +174,16 @@ class ColumnarBatchStage {
   std::vector<uint32_t> order_;  ///< stable key-sorted permutation
 };
 
+/// Read-only view of ts-sorted probe columns: what a gather hands the
+/// sweep merge, whether the columns are a drain's scratch or a key's
+/// resident window.
+struct ProbeSpan {
+  const Timestamp* ts = nullptr;
+  const double* payload = nullptr;
+  size_t size = 0;
+  bool finite = true;  ///< false when any payload is NaN/Inf
+};
+
 /// Probe tuples of one key-group, gathered into contiguous ts/payload
 /// columns. Sources append in timestamp order each (skip-list second
 /// layers are ts-sorted), so the columns hold one sorted run per source
@@ -193,12 +213,30 @@ class ProbeColumns {
   /// Merges the runs into one ts-sorted sequence, bottom-up through the
   /// scratch columns (which only ever grow). Ties take the earlier run
   /// first, so the result is exactly a stable sort of the append order.
-  /// Call once after gathering.
-  void EnsureSorted();
+  /// Call once after gathering. Entries before `from`, if sorted and no
+  /// greater than any later one, are left untouched.
+  void EnsureSorted(size_t from = 0);
+
+  /// Keeps the first `n` entries; call when sorted. Does not reset
+  /// all_finite().
+  void Truncate(size_t n) {
+    ts_.Truncate(n);
+    payload_.Truncate(n);
+  }
+
+  /// Drops the first `n` entries; call when sorted.
+  void EraseFront(size_t n) {
+    ts_.EraseFront(n);
+    payload_.EraseFront(n);
+  }
 
   size_t size() const { return ts_.size(); }
   const Timestamp* ts() const { return ts_.data(); }
   const double* payload() const { return payload_.data(); }
+  /// The columns as a view; call EnsureSorted first.
+  ProbeSpan span() const {
+    return ProbeSpan{ts_.data(), payload_.data(), ts_.size(), finite_};
+  }
 
   /// False when any appended payload was NaN/Inf — the engines fall
   /// back to the scalar join path for the group (see vector_agg.h on

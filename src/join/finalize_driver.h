@@ -49,8 +49,9 @@ struct JoinerCounters {
 
   /// Counts one join operation that matched `op_matched` of the
   /// `op_visited` tuples it examined. Effectiveness (Eq. 1) is defined
-  /// on [0, 1]; incremental slides and shared group gathers can examine
-  /// fewer tuples than the window holds, so the ratio is clamped.
+  /// on [0, 1]; delta gathers into resident windows and shared group
+  /// gathers can examine fewer tuples than the window holds, so the
+  /// ratio is clamped.
   void CountJoinOp(uint64_t op_matched, uint64_t op_visited) {
     matched += op_matched;
     effectiveness_sum +=
@@ -79,22 +80,28 @@ struct JoinerCounters {
   }
 };
 
+/// What a gather hands the sweep: ts-sorted probe columns covering the
+/// group's union window, and how many index tuples it visited.
+struct Gathered {
+  col::ProbeSpan probes;
+  uint64_t visited = 0;
+};
+
 /// One key-group of a columnar drain after gather and sweep: the bases
 /// at sorted stage positions [begin, begin + size), their ts-sorted
 /// probes, and each base's window slice of those probes.
 struct ColumnarGroup {
-  Key key;
   const col::ColumnarBatchStage* stage;
   size_t begin;
   size_t size;
-  const col::ProbeColumns* probes;
+  col::ProbeSpan probes;
   const col::BaseSlice* slices;
   uint64_t gathered;  ///< tuples the gather visited for the whole group
 
   Tuple Base(size_t i) const { return stage->SortedTuple(begin + i); }
   int64_t Arrival(size_t i) const { return stage->SortedArrival(begin + i); }
   col::SliceAgg Aggregate(size_t i) const {
-    return col::AggregateSlice(probes->payload() + slices[i].lo,
+    return col::AggregateSlice(probes.payload + slices[i].lo,
                                slices[i].hi - slices[i].lo);
   }
 };
@@ -121,19 +128,17 @@ class FinalizeDriver {
   /// within each group: the sweep-merge precondition.
   ///  * A run shorter than `min_run` replays `join_one(tuple, arrival)`
   ///    in pop order.
-  ///  * Otherwise each key-group of at least `min_group(key)` bases runs
-  ///    `gather(key, lo, hi, &probes)` over the union window [lo, hi]
-  ///    (returning how many tuples it visited), the sweep, and
-  ///    `emit(group)`. Smaller groups, and groups whose probes hold a
-  ///    NaN/Inf payload, replay `join_one` in sorted order.
+  ///  * Otherwise each key-group of at least kMinGroup bases runs
+  ///    `gather(key, lo, hi, &scratch)` for the union window [lo, hi]
+  ///    (returning the Gathered probes, in `scratch` or elsewhere), the
+  ///    sweep, and `emit(group)`. Smaller groups, and groups whose
+  ///    probes hold a NaN/Inf payload, replay `join_one` in sorted order.
   /// Gather and sweep are timed as lookup, emit as match. Returns
   /// whether anything was popped.
-  template <typename Ready, typename MinGroup, typename JoinOne,
-            typename Gather, typename Emit>
+  template <typename Ready, typename JoinOne, typename Gather, typename Emit>
   bool Drain(PendingQueue& pending, const IntervalWindow& window,
              uint32_t min_run, JoinerCounters& c, Ready&& ready,
-             MinGroup&& min_group, JoinOne&& join_one, Gather&& gather,
-             Emit&& emit) {
+             JoinOne&& join_one, Gather&& gather, Emit&& emit) {
     stage_.Clear();
     while (!pending.empty() && ready(pending.top().tuple)) {
       stage_.Append(pending.top().tuple, pending.top().arrival_us);
@@ -153,19 +158,18 @@ class FinalizeDriver {
         }
       };
       const size_t n = end - begin;
-      if (n < min_group(key)) return replay();
+      if (n < kMinGroup) return replay();
 
       group_ts_.resize(n);
       for (size_t i = 0; i < n; ++i) group_ts_[i] = stage_.SortedTs(begin + i);
       probes_.Clear();
-      uint64_t gathered = 0;
+      Gathered g;
       {
         ScopedTimerNs timer(&c.breakdown.lookup_ns);
-        gathered = gather(key, window.start_for(group_ts_[0]),
-                          window.end_for(group_ts_[n - 1]), &probes_);
-        probes_.EnsureSorted();
+        g = gather(key, window.start_for(group_ts_[0]),
+                   window.end_for(group_ts_[n - 1]), &probes_);
       }
-      if (!probes_.all_finite()) {
+      if (!g.probes.finite) {
         // The SIMD min/max lanes would reorder NaN propagation.
         ++c.columnar_fallbacks;
         return replay();
@@ -173,16 +177,16 @@ class FinalizeDriver {
       slices_.resize(n);
       {
         ScopedTimerNs timer(&c.breakdown.lookup_ns);
-        col::ComputeWindowSlices(group_ts_.data(), n, window, probes_.ts(),
-                                 probes_.size(), slices_.data());
+        col::ComputeWindowSlices(group_ts_.data(), n, window, g.probes.ts,
+                                 g.probes.size, slices_.data());
       }
       {
         ScopedTimerNs timer(&c.breakdown.match_ns);
-        emit(ColumnarGroup{key, &stage_, begin, n, &probes_, slices_.data(),
-                           gathered});
+        emit(ColumnarGroup{&stage_, begin, n, g.probes, slices_.data(),
+                           g.visited});
       }
       // The probes were visited once for the whole group, not per base.
-      c.visited += gathered;
+      c.visited += g.visited;
       c.columnar_bases += n;
       ++c.columnar_groups;
     });

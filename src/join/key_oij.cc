@@ -115,7 +115,6 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     s.driver.Drain(
         s.slots[q->ord].pending, qspec.window, options().columnar_min_run, s,
         [&](const Tuple& t) { return t.ts + qspec.window.fol <= threshold; },
-        [](Key) { return FinalizeDriver::kMinGroup; },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, base, arrival_us);
         },
@@ -123,12 +122,14 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
         // per base. Every buffered tuple counts as visited, but only the
         // group's union window is transposed: the slices read no more.
         [&](Key key, Timestamp lo, Timestamp hi, col::ProbeColumns* probes) {
-          uint64_t visited = 0;
+          Gathered g;
           ScanKey(s, qspec, key, [&](const Tuple& r) {
-            ++visited;
+            ++g.visited;
             if (r.ts >= lo && r.ts <= hi) probes->Append(r.ts, r.payload);
           });
-          return visited;
+          probes->EnsureSorted();
+          g.probes = probes->span();
+          return g;
         },
         [&](const ColumnarGroup& g) {
           for (size_t i = 0; i < g.size; ++i) {

@@ -8,15 +8,6 @@
 namespace oij {
 
 namespace {
-/// Whether a key's carried Subtract-on-Evict window is worth sliding. A
-/// window of fewer probes is rescanned instead: a rescan descends the
-/// index once, a slide twice (subtract and add ranges). Two-Stacks
-/// evicts in memory and always slides.
-constexpr uint64_t kMinSlideProbes = 32;
-bool WorthSliding(const IncrementalWindowState& inc) {
-  return inc.valid() && inc.agg().count >= kMinSlideProbes;
-}
-
 /// The rebalancer config actually run: the user's knobs plus, when
 /// placement resolved a multi-node machine, the per-joiner node map
 /// that makes replication prefer same-socket targets.
@@ -52,8 +43,7 @@ ScaleOijEngine::ScaleOijEngine(const QuerySpec& spec,
     states_.push_back(std::make_unique<JoinerState>(
         arena, &ebr_, slot, /*seed=*/0x5ca1e + j));
     states_.back()->schedule = router_schedule_;
-    states_.back()->reach =
-        spec.window.pre + (spec.window.pre + spec.window.fol) + 1;
+    states_.back()->reach = spec.window.pre + 1;
     states_.back()->cache_probe =
         SampledCacheProbe(options.cache_sim, options.cache_sample_period);
   }
@@ -62,10 +52,7 @@ ScaleOijEngine::ScaleOijEngine(const QuerySpec& spec,
 void ScaleOijEngine::OnAddQuery(uint32_t joiner, QueryRuntime& query) {
   JoinerState& s = *states_[joiner];
   if (query.ord >= s.slots.size()) s.slots.resize(query.ord + 1);
-  const Timestamp reach = query.spec.window.pre +
-                          (query.spec.window.pre + query.spec.window.fol) +
-                          1;
-  if (reach > s.reach) s.reach = reach;
+  s.reach = std::max(s.reach, query.spec.window.pre + 1);
 }
 
 void ScaleOijEngine::Route(const Event& event) {
@@ -219,9 +206,6 @@ void ScaleOijEngine::OnBatchEnd(uint32_t joiner) {
 void ScaleOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
   JoinerState& s = *states_[joiner];
   if (watermark > s.last_wm) s.last_wm = watermark;
-  // Teams only grow, so refreshing to the newest schedule is always safe
-  // and guarantees the view covers every member routed to so far.
-  s.schedule = table_.Snapshot();
   // Publish before draining: gating is on progress, so publishing first
   // keeps the team free of circular waits; eviction safety is carried by
   // read_floor, which still reflects the undrained pending tuples.
@@ -257,14 +241,19 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
 }
 
 bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
-  if (s.schedule == nullptr) s.schedule = table_.Snapshot();
+  // Teams only grow, so the newest schedule is always safe, and it covers
+  // every member the router sent a key to before any event this joiner
+  // has processed: eager progress moves with every tuple, so a view
+  // refreshed only at punctuations could finalize a base without the
+  // members a team grew by since.
+  if (s.schedule->version != table_.version()) s.schedule = table_.Snapshot();
   bool popped = false;
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     const QuerySpec& qspec = q->spec;
     QuerySlot& slot = s.slots[q->ord];
-    // Loaded once per group by its gather; the emit must agree with it.
-    bool scan_annex = false;
+    // Set by each group's gather; the group's emit reads the same window.
+    col::KeyWindow* window = nullptr;
     popped |= s.driver.Drain(
         slot.pending, qspec.window, options().columnar_min_run, s,
         [&](const Tuple& t) {
@@ -273,43 +262,13 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
           return qspec.window.end_for(t.ts) <=
                  TeamMinProgress(s.schedule->teams[p]);
         },
-        // A group re-reads its whole union window, where a sliding key's
-        // per-base path reads only each base's delta: against a sliding
-        // key a group must share its gather among twice as many bases.
-        [&](Key key) {
-          const auto it = slot.inc_states.find(key);
-          const bool slides = options().incremental_agg &&
-                              IsInvertible(qspec.agg) && !ScanAnnex(qspec) &&
-                              it != slot.inc_states.end() &&
-                              WorthSliding(it->second);
-          return slides ? 2 * FinalizeDriver::kMinGroup
-                        : FinalizeDriver::kMinGroup;
-        },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, slot, base, arrival_us);
         },
-        // One SeekGE per team member covers every base of the group; the
-        // per-base path would descend once per (base, member). The epoch
-        // guard is held only here: once gathered, the batch is decoupled
-        // from index memory.
         [&](Key key, Timestamp lo, Timestamp hi, col::ProbeColumns* probes) {
-          scan_annex = ScanAnnex(qspec);
-          const uint32_t p =
-              PartitionTable::PartitionOf(key, options().num_partitions);
-          auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
-          uint64_t gathered = 0;
-          EpochGuard guard(ebr_, s.ebr_slot);
-          for (uint32_t m : s.schedule->teams[p]) {
-            gathered +=
-                col::GatherRange(states_[m]->index, key, lo, hi, probes, touch);
-            if (scan_annex) {
-              gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
-                                           probes, touch);
-            }
-          }
-          return gathered;
+          return GatherKey(s, qspec, slot, key, lo, hi, probes, &window);
         },
-        [&](const ColumnarGroup& g) { EmitGroup(s, *q, slot, g, scan_annex); });
+        [&](const ColumnarGroup& g) { EmitGroup(s, *q, g, window); });
   }
   if (popped) PublishReadFloor(s);
   return popped;
@@ -317,130 +276,111 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
 
 bool ScaleOijEngine::ScanAnnex(const QuerySpec& qspec) const {
   // Once any late probe entered an annex, best-effort queries trade
-  // their incremental window states for full main+annex scans (the
-  // annex breaks the in-order precondition incremental slides rely on).
-  // Exact-policy queries never scan the annex and keep sliding.
+  // their resident windows for whole main+annex gathers (a late probe
+  // can land below a carried end). Exact-policy queries never scan the
+  // annex and keep their windows.
   return qspec.late_policy == LatePolicy::kBestEffortJoin &&
          annex_dirty_.load(std::memory_order_acquire);
+}
+
+Gathered ScaleOijEngine::GatherKey(JoinerState& s, const QuerySpec& qspec,
+                                   QuerySlot& slot, Key key, Timestamp lo,
+                                   Timestamp hi, col::ProbeColumns* scratch,
+                                   col::KeyWindow** window) {
+  const uint32_t p =
+      PartitionTable::PartitionOf(key, options().num_partitions);
+  const std::vector<uint32_t>& team = s.schedule->teams[p];
+  const bool scan_annex = ScanAnnex(qspec);
+  Gathered g;
+  // One SeekGE per team member. The epoch guard is held only here: once
+  // gathered, the columns are decoupled from index memory.
+  auto gather = [&](Timestamp from, col::ProbeColumns* out) {
+    if (from > hi) return;
+    auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
+    EpochGuard guard(ebr_, s.ebr_slot);
+    for (uint32_t m : team) {
+      g.visited +=
+          col::GatherRange(states_[m]->index, key, from, hi, out, touch);
+      if (scan_annex) {
+        g.visited +=
+            col::GatherRange(states_[m]->annex, key, from, hi, out, touch);
+      }
+    }
+  };
+  *window = nullptr;
+  if (options().incremental_agg && !scan_annex) {
+    col::KeyWindow& w = slot.windows[key];
+    gather(w.Begin(lo), w.delta());
+    // Only probes no future tuple can add to stay resident, or a later
+    // delta would never pick up a probe that arrived after it was
+    // carried; the rest of [lo, hi] is read for this finalize only.
+    if (w.Extend(std::min(hi, TeamCompleteThrough(team)))) {
+      *window = &w;
+      g.probes = w.span();
+      return g;
+    }
+  }
+  // The recompute arm, a dirty annex, or a non-finite payload (which
+  // emptied the window): read [lo, hi] whole.
+  gather(lo, scratch);
+  scratch->EnsureSorted();
+  g.probes = scratch->span();
+  return g;
 }
 
 void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
                              QuerySlot& slot, const Tuple& base,
                              int64_t arrival_us) {
   const QuerySpec& qspec = query.spec;
-  const Timestamp start = qspec.window.start_for(base.ts);
-  const Timestamp end = qspec.window.end_for(base.ts);
-  const uint32_t p =
-      PartitionTable::PartitionOf(base.key, options().num_partitions);
-  const std::vector<uint32_t>& team = s.schedule->teams[p];
-  const bool scan_annex = ScanAnnex(qspec);
-  const bool incremental = !scan_annex && options().incremental_agg;
-
-  uint64_t op_visited = 0;
-  AggState agg;
+  col::KeyWindow* window = nullptr;
+  Gathered g;
+  col::BaseSlice slice;
   {
     ScopedTimerNs timer(&s.breakdown.lookup_ns);
-    EpochGuard guard(ebr_, s.ebr_slot);
-
-    auto scan = [&](Timestamp lo, Timestamp hi, auto&& per_tuple) {
-      for (uint32_t m : team) {
-        op_visited += states_[m]->index.ForEachInRange(
-            base.key, lo, hi, [&](const Tuple& t) {
-              s.cache_probe.Touch(&t);
-              per_tuple(t);
-            });
-        if (scan_annex) {
-          op_visited += states_[m]->annex.ForEachInRange(
-              base.key, lo, hi, [&](const Tuple& t) {
-                s.cache_probe.Touch(&t);
-                per_tuple(t);
-              });
-        }
-      }
-    };
-
-    // A running window state may only hold probes no future tuple can
-    // add to, or a later slide would never pick up a probe that arrived
-    // after it was carried. It carries [start, carried_end]; the rest of
-    // the window is scanned fresh for this base and not stored.
-    Timestamp fresh_lo = start;
-    if (incremental) {
-      const Timestamp carried_end = std::min(end, TeamCompleteThrough(team));
-      if (carried_end >= start) {
-        if (IsInvertible(qspec.agg)) {
-          // Subtract-on-Evict: only sum/count are maintained.
-          IncrementalWindowState& inc = slot.inc_states[base.key];
-          if (!WorthSliding(inc)) inc.Invalidate();
-          inc.Slide(start, carried_end, qspec.agg, scan);
-          agg = inc.agg();
-        } else {
-          // Two-Stacks: only the requested extreme is maintained.
-          NonInvertibleWindowState& ni =
-              slot.ni_states.try_emplace(base.key, qspec.agg).first->second;
-          ni.Slide(start, carried_end, scan);
-          agg.count = ni.count();
-          (qspec.agg == AggKind::kMin ? agg.min : agg.max) = ni.Result();
-        }
-        fresh_lo = carried_end + 1;
-      }
-    }
-    if (fresh_lo <= end) {
-      scan(fresh_lo, end, [&](const Tuple& t) { agg.Add(t.payload); });
-    }
+    s.probes.Clear();
+    const Timestamp start = qspec.window.start_for(base.ts);
+    const Timestamp end = qspec.window.end_for(base.ts);
+    g = GatherKey(s, qspec, slot, base.key, start, end, &s.probes, &window);
+    // A resident window may reach past `end`: binary-search the slice.
+    const Timestamp* ts = g.probes.ts;
+    const Timestamp* lo = std::lower_bound(ts, ts + g.probes.size, start);
+    slice.lo = static_cast<uint32_t>(lo - ts);
+    slice.hi = static_cast<uint32_t>(
+        std::upper_bound(lo, ts + g.probes.size, end) - ts);
   }
-
-  s.visited += op_visited;
-  s.CountJoinOp(agg.count, op_visited);
+  s.visited += g.visited;
   ScopedTimerNs timer(&s.breakdown.match_ns);
+  AggState agg;
+  if (window != nullptr) {
+    window->Aggregate(qspec.agg, &slice, 1, &agg, &s.deque);
+  } else if (g.probes.finite) {
+    agg = col::AggregateSlice(g.probes.payload + slice.lo,
+                              slice.hi - slice.lo)
+              .ToAggState();
+  } else {
+    // The SIMD min/max lanes would reorder NaN propagation.
+    for (uint32_t i = slice.lo; i < slice.hi; ++i) agg.Add(g.probes.payload[i]);
+  }
+  s.CountJoinOp(agg.count, g.visited);
   EmitOne(s, query, base, arrival_us, agg.Result(qspec.agg), agg.count);
 }
 
 void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
-                               QuerySlot& slot, const ColumnarGroup& g,
-                               bool scan_annex) {
-  const QuerySpec& qspec = query.spec;
-  const bool incremental = !scan_annex && options().incremental_agg;
-  if (incremental && IsInvertible(qspec.agg)) {
-    // Exclusive prefix sums turn every window sum into two loads and a
-    // subtract.
-    s.prefix.resize(g.probes->size() + 1);
-    col::PrefixSums(g.probes->payload(), g.probes->size(), s.prefix.data());
-    AggState agg;
+                               const ColumnarGroup& g,
+                               const col::KeyWindow* window) {
+  const AggKind kind = query.spec.agg;
+  s.aggs.resize(g.size);
+  if (window != nullptr) {
+    window->Aggregate(kind, g.slices, g.size, s.aggs.data(), &s.deque);
+  } else {
     for (size_t i = 0; i < g.size; ++i) {
-      agg.sum = s.prefix[g.slices[i].hi] - s.prefix[g.slices[i].lo];
-      agg.count = g.slices[i].hi - g.slices[i].lo;
-      s.CountJoinOp(agg.count, g.gathered);
-      EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
-              agg.count);
+      s.aggs[i] = g.Aggregate(i).ToAggState();
     }
-    // Hand the last window's aggregate to the key's incremental state:
-    // a later per-base slide must start from *this* window, or its
-    // subtract-scan could reach below the published read floor (the
-    // floor budgets for at most one window below the next start). An
-    // eager window may still be missing probes, so it is never carried:
-    // the next slide recomputes instead.
-    IncrementalWindowState& inc = slot.inc_states[g.key];
-    if (spec().emit_mode == EmitMode::kEager) {
-      inc.Invalidate();
-    } else {
-      const Timestamp last = g.Base(g.size - 1).ts;
-      inc.Reseed(qspec.window.start_for(last), qspec.window.end_for(last),
-                 agg);
-    }
-    return;
   }
   for (size_t i = 0; i < g.size; ++i) {
-    const AggState agg = g.Aggregate(i).ToAggState();
+    const AggState& agg = s.aggs[i];
     s.CountJoinOp(agg.count, g.gathered);
-    EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
-            agg.count);
-  }
-  if (incremental) {
-    // Non-invertible (min/max): the Two-Stacks FIFO (if armed) no longer
-    // matches the last per-base window; force its next slide to
-    // recompute.
-    auto it = slot.ni_states.find(g.key);
-    if (it != slot.ni_states.end()) it->second.Invalidate();
+    EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(kind), agg.count);
   }
 }
 
@@ -458,16 +398,24 @@ void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
 }
 
 void ScaleOijEngine::Evict(JoinerState& s) {
-  const Timestamp bound = GlobalMinReadFloor();
-  if (bound == kMinTimestamp || bound == kMaxTimestamp) {
-    // Nothing published yet, or flush already drained: evict everything
-    // only in the latter case.
-    if (bound == kMaxTimestamp) {
-      s.evicted += s.index.EvictBefore(bound);
-      s.evicted += s.annex.EvictBefore(bound);
+  // No base of this joiner reads below its own floor, so a resident
+  // window ending there restarts at its next use. One ending a further
+  // window reach below has not been read for a whole window: dropping it
+  // keeps idle keys, removed queries and abandoned best-effort windows
+  // from holding memory. (An eager window whose horizon trails its
+  // window start carries nothing and always ends just below the floor;
+  // dropping it at once would regrow its columns every punctuation.)
+  const Timestamp floor = s.read_floor.load(std::memory_order_relaxed);
+  if (floor > kMinTimestamp + s.reach) {
+    const Timestamp idle_below = floor - s.reach;
+    for (QuerySlot& slot : s.slots) {
+      std::erase_if(slot.windows, [idle_below](const auto& kv) {
+        return kv.second.end() < idle_below;
+      });
     }
-    return;
   }
+  const Timestamp bound = GlobalMinReadFloor();
+  if (bound == kMinTimestamp) return;  // nothing published yet
   s.evicted += s.index.EvictBefore(bound);
   s.evicted += s.annex.EvictBefore(bound);
 }
@@ -477,9 +425,9 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
   // Consistent cut on the joiner thread (kSnapshot event). The index
   // walk is the arena-aware part: every node lives on this joiner's
   // contiguous slabs, so the traversal is cache-dense.
-  // Probes first, then unfinalized bases; the per-key incremental
-  // window states are *derived* state and are rebuilt (or recomputed
-  // lazily) when the replayed tuples re-enter through normal ingest.
+  // Probes first, then unfinalized bases; the resident key windows are
+  // *derived* state and are regathered when the replayed tuples re-enter
+  // through normal ingest.
   // The annex (late best-effort probes) is intentionally *not*
   // snapshotted: replayed tuples re-enter under the restored watermark
   // gate, and late data is only ever best-effort. Pending bases are

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "col/key_window.h"
 #include "ebr/epoch_manager.h"
 #include "join/engine.h"
 #include "join/finalize_driver.h"
@@ -14,8 +15,6 @@
 #include "sched/partition_table.h"
 #include "sched/rebalancer.h"
 #include "skiplist/time_travel_index.h"
-#include "window/incremental_window.h"
-#include "window/two_stacks.h"
 
 namespace oij {
 
@@ -30,9 +29,14 @@ namespace oij {
 ///     skewed. Tuples of a shared partition round-robin across the team;
 ///     every member writes its own index and reads the whole team's
 ///     (Figs 13/14).
-///  3. *Incremental window aggregation*: per (joiner, key) running
-///     aggregates slide by Subtract-on-Evict, so overlapping windows share
-///     work (Fig 16).
+///  3. *Incremental window aggregation*: each (joiner, query, key) keeps
+///     one resident window (col::KeyWindow) of ts-sorted probe columns up
+///     to the team's completeness horizon. A finalize gathers only the
+///     delta above its end and trims it below its first window start, so
+///     overlapping windows share the index reads, and takes sum/count/avg
+///     from prefix sums and min/max from a monotonic deque over it
+///     (Subtract-on-Evict, Fig 16). One base and a columnar key-group
+///     read and advance the same window.
 ///
 /// Cross-thread protocol. Each joiner publishes `progress` — the event
 /// time through which it has durably processed its queue (its last
@@ -47,12 +51,14 @@ namespace oij {
 ///
 /// Eviction. Each joiner additionally publishes a monotone `read_floor`:
 /// a lower bound on every index timestamp it may still scan, derived from
-/// min(last watermark, oldest pending base) minus the window reach plus
-/// one extra window for incremental subtract-scans (which, by the overlap
-/// precondition, reach at most one window below their next window start).
-/// Owners unlink index prefixes strictly below min(read_floor) over all
-/// joiners; unlinked nodes are freed via EBR once every reader epoch
-/// drains, so scans already in flight stay memory-safe.
+/// min(last watermark, oldest pending base) minus the window reach. No
+/// read goes below the window start of the base it finalizes: a resident
+/// window is extended only upward and restarts when a window would start
+/// below it. Owners unlink index prefixes strictly below min(read_floor)
+/// over all joiners; unlinked nodes are freed via EBR once every reader
+/// epoch drains, so scans already in flight stay memory-safe. Resident
+/// windows that end a window reach below the joiner's own floor (unread
+/// for a whole window) are dropped.
 class ScaleOijEngine : public ParallelEngineBase {
  public:
   ScaleOijEngine(const QuerySpec& spec, const EngineOptions& options,
@@ -77,14 +83,11 @@ class ScaleOijEngine : public ParallelEngineBase {
  private:
   /// Per-(joiner, query) runtime state, indexed by query ordinal. Every
   /// standing query keeps its own pending bases (its window end gates
-  /// finalization) and its own incremental window states, but all of
-  /// them read the one shared time-travel index.
+  /// finalization) and its own resident key windows, but all of them
+  /// read the one shared time-travel index.
   struct QuerySlot {
     PendingQueue pending;
-    /// Per-key running windows: Subtract-on-Evict for invertible
-    /// aggregates, Two-Stacks for non-invertible ones (min/max).
-    std::unordered_map<Key, IncrementalWindowState> inc_states;
-    std::unordered_map<Key, NonInvertibleWindowState> ni_states;
+    std::unordered_map<Key, col::KeyWindow> windows;
   };
 
   struct JoinerState : JoinerCounters {
@@ -111,7 +114,11 @@ class ScaleOijEngine : public ParallelEngineBase {
     /// Stages on slabs loaned from this joiner's own arena, so evicted
     /// index slabs recycle straight into batch staging.
     FinalizeDriver driver;
-    std::vector<double> prefix;  ///< invertible columnar emit scratch
+    /// Finalize scratch: a single base's stateless gather, a group's
+    /// aggregates, the min/max deque.
+    col::ProbeColumns probes;
+    std::vector<AggState> aggs;
+    std::vector<uint32_t> deque;
 
     /// Max window reach over every query this joiner has ever been told
     /// about (monotone — removed queries keep contributing, so already
@@ -122,8 +129,7 @@ class ScaleOijEngine : public ParallelEngineBase {
     alignas(64) std::atomic<Timestamp> progress{kMinTimestamp};
 
     /// Published lower bound on every index timestamp this joiner may
-    /// still scan: min(last watermark, oldest pending base) − PRE −
-    /// (PRE+FOL) − 1 (window reach plus incremental subtract reach).
+    /// still scan: min(last watermark, oldest pending base) − PRE − 1.
     /// Owners evict strictly below min(read_floor) over all joiners.
     alignas(64) std::atomic<Timestamp> read_floor{kMinTimestamp};
 
@@ -138,7 +144,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published progress over `team`.
   Timestamp TeamMinProgress(const std::vector<uint32_t>& team) const;
   /// Event time through which every non-late probe of `team` is present
-  /// (the completeness horizon incremental window states carry up to).
+  /// (the completeness horizon resident windows carry up to).
   Timestamp TeamCompleteThrough(const std::vector<uint32_t>& team) const;
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
@@ -147,14 +153,22 @@ class ScaleOijEngine : public ParallelEngineBase {
   bool DrainPending(uint32_t joiner, JoinerState& s);
   /// Whether `qspec` must also scan the late-probe annexes.
   bool ScanAnnex(const QuerySpec& qspec) const;
+  /// Gathers the probes of `key` that bases with windows inside [lo, hi]
+  /// need, into ts-sorted columns. Incremental aggregation advances the
+  /// key's resident window and sets `*window` to it; otherwise (the
+  /// recompute arm, a best-effort query with a dirty annex, or a
+  /// non-finite payload) the whole of [lo, hi] is gathered into
+  /// `scratch` and `*window` is null.
+  Gathered GatherKey(JoinerState& s, const QuerySpec& qspec, QuerySlot& slot,
+                     Key key, Timestamp lo, Timestamp hi,
+                     col::ProbeColumns* scratch, col::KeyWindow** window);
+  /// Finalizes one base: a key-group of one.
   void JoinOne(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
                const Tuple& base, int64_t arrival_us);
-  /// Columnar emit of one gathered key-group, mirroring JoinOne's result
-  /// per configuration. Keeps the per-key incremental window
-  /// states consistent (Reseed / Invalidate) so interleaved per-base
-  /// slides stay eviction-safe.
-  void EmitGroup(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
-                 const ColumnarGroup& g, bool scan_annex);
+  /// Columnar emit of one gathered key-group; `window` is what its
+  /// GatherKey set.
+  void EmitGroup(JoinerState& s, QueryRuntime& query, const ColumnarGroup& g,
+                 const col::KeyWindow* window);
   /// Shared result-emission tail of both join paths.
   void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
                int64_t arrival_us, double value, uint64_t count);
@@ -191,9 +205,9 @@ class ScaleOijEngine : public ParallelEngineBase {
   std::vector<std::unique_ptr<JoinerState>> states_;
 
   /// Set (never cleared) once any joiner stored a late probe in its
-  /// annex. From then on best-effort queries abandon their incremental
-  /// window states and full-scan main + annex — drop/side-channel
-  /// queries are unaffected either way.
+  /// annex. From then on best-effort queries abandon their resident
+  /// windows and gather main + annex whole — drop/side-channel queries
+  /// are unaffected either way.
   std::atomic<bool> annex_dirty_{false};
 };
 

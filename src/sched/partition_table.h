@@ -1,6 +1,7 @@
 #ifndef OIJ_SCHED_PARTITION_TABLE_H_
 #define OIJ_SCHED_PARTITION_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,8 +47,9 @@ struct Schedule {
 /// schedule"). The router publishes; router and joiners snapshot. A mutex
 /// guards the pointer rather than std::atomic<std::shared_ptr>: libstdc++
 /// 12 releases that type's internal lock with a relaxed store, which
-/// leaves ThreadSanitizer without a happens-before edge. Joiners snapshot
-/// once per punctuation, so the lock is off the per-tuple path.
+/// leaves ThreadSanitizer without a happens-before edge. Joiners check
+/// version() per drain and snapshot only when it moved, so the lock is
+/// off the per-tuple path.
 class PartitionTable {
  public:
   PartitionTable(uint32_t num_partitions, uint32_t num_joiners)
@@ -59,10 +61,18 @@ class PartitionTable {
   }
 
   void Publish(std::shared_ptr<const Schedule> schedule) {
-    // Swap under the lock; the old schedule is released after it.
-    std::lock_guard<std::mutex> lock(mu_);
-    current_.swap(schedule);
+    const uint64_t version = schedule->version;
+    {
+      // Swap under the lock; the old schedule is released after it.
+      std::lock_guard<std::mutex> lock(mu_);
+      current_.swap(schedule);
+    }
+    version_.store(version, std::memory_order_release);
   }
+
+  /// Version of the newest published schedule. A reader that sees it
+  /// differ from its snapshot's takes a new Snapshot().
+  uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   /// Partition of a key (shared by every component so routing and stats
   /// agree).
@@ -73,6 +83,7 @@ class PartitionTable {
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const Schedule> current_;  // guarded by mu_
+  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace oij

@@ -1,15 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
-#include <limits>
-#include <map>
-#include <vector>
 
 #include "agg/aggregate.h"
-#include "common/random.h"
-#include "window/incremental_window.h"
-#include "window/two_stacks.h"
 
 namespace oij {
 namespace {
@@ -97,315 +90,6 @@ TEST(AggregateTest, ResetClears) {
   a.Reset();
   EXPECT_EQ(a.count, 0u);
   EXPECT_DOUBLE_EQ(a.sum, 0.0);
-}
-
-// -------------------------------------------- IncrementalWindowState
-
-/// Test scanner over a sorted (ts -> payload) model store.
-class ModelStore {
- public:
-  void Add(Timestamp ts, double payload) { data_.emplace(ts, payload); }
-
-  auto Scanner() {
-    return [this](Timestamp lo, Timestamp hi, auto&& fn) {
-      for (auto it = data_.lower_bound(lo);
-           it != data_.end() && it->first <= hi; ++it) {
-        fn(Tuple{it->first, 0, it->second});
-      }
-    };
-  }
-
-  AggState Recompute(Timestamp lo, Timestamp hi) const {
-    AggState agg;
-    for (auto it = data_.lower_bound(lo);
-         it != data_.end() && it->first <= hi; ++it) {
-      agg.Add(it->second);
-    }
-    return agg;
-  }
-
- private:
-  std::multimap<Timestamp, double> data_;
-};
-
-TEST(IncrementalWindowTest, FirstSlideRecomputes) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 10; ++ts) store.Add(ts, 1.0);
-  IncrementalWindowState st;
-  const auto stats = st.Slide(2, 5, AggKind::kSum, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-  EXPECT_EQ(stats.visited, 4u);  // ts 2,3,4,5
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), 4.0);
-}
-
-TEST(IncrementalWindowTest, OverlappingSlideVisitsOnlyDeltas) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 100; ++ts) {
-    store.Add(ts, static_cast<double>(ts));
-  }
-  IncrementalWindowState st;
-  st.Slide(0, 49, AggKind::kSum, store.Scanner());  // recompute: 50 visits
-
-  const auto stats = st.Slide(10, 59, AggKind::kSum, store.Scanner());
-  EXPECT_FALSE(stats.recomputed);
-  EXPECT_EQ(stats.visited, 20u);  // subtract 0..9, add 50..59
-  // sum(10..59)
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), (10 + 59) * 50.0 / 2);
-  EXPECT_EQ(st.agg().count, 50u);
-}
-
-TEST(IncrementalWindowTest, DisjointSlideFallsBackToRecompute) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 100; ++ts) store.Add(ts, 1.0);
-  IncrementalWindowState st;
-  st.Slide(0, 9, AggKind::kSum, store.Scanner());
-  const auto stats = st.Slide(50, 59, AggKind::kSum, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), 10.0);
-}
-
-TEST(IncrementalWindowTest, AdjacentWindowsIncrement) {
-  // new_start == prev_end + 1 still qualifies (empty subtract overlap).
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 40; ++ts) store.Add(ts, 1.0);
-  IncrementalWindowState st;
-  st.Slide(0, 9, AggKind::kSum, store.Scanner());
-  const auto stats = st.Slide(10, 19, AggKind::kSum, store.Scanner());
-  EXPECT_FALSE(stats.recomputed);
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), 10.0);
-}
-
-TEST(IncrementalWindowTest, RegressedWindowRecomputes) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 40; ++ts) store.Add(ts, 1.0);
-  IncrementalWindowState st;
-  st.Slide(10, 19, AggKind::kSum, store.Scanner());
-  const auto stats = st.Slide(5, 14, AggKind::kSum, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), 10.0);
-}
-
-TEST(IncrementalWindowTest, NonInvertibleAlwaysRecomputes) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 40; ++ts) {
-    store.Add(ts, static_cast<double>(ts % 7));
-  }
-  IncrementalWindowState st;
-  st.Slide(0, 9, AggKind::kMax, store.Scanner());
-  const auto stats = st.Slide(1, 10, AggKind::kMax, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kMax),
-                   store.Recompute(1, 10).Result(AggKind::kMax));
-}
-
-TEST(IncrementalWindowTest, InvalidateForcesRecompute) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 40; ++ts) store.Add(ts, 1.0);
-  IncrementalWindowState st;
-  st.Slide(0, 9, AggKind::kSum, store.Scanner());
-  st.Invalidate();
-  const auto stats = st.Slide(1, 10, AggKind::kSum, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-}
-
-TEST(IncrementalWindowTest, ZeroWidthDeltasOnRepeatedWindow) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 40; ++ts) store.Add(ts, 2.0);
-  IncrementalWindowState st;
-  st.Slide(5, 15, AggKind::kSum, store.Scanner());
-  const auto stats = st.Slide(5, 15, AggKind::kSum, store.Scanner());
-  EXPECT_FALSE(stats.recomputed);
-  EXPECT_EQ(stats.visited, 0u);
-  EXPECT_DOUBLE_EQ(st.agg().Result(AggKind::kSum), 22.0);
-}
-
-/// Property: a random monotone sequence of slides always equals a fresh
-/// recomputation, for every invertible operator.
-class IncrementalSlidePropertyTest
-    : public ::testing::TestWithParam<AggKind> {};
-
-TEST_P(IncrementalSlidePropertyTest, MatchesRecomputeOnRandomSlides) {
-  const AggKind kind = GetParam();
-  Rng rng(777 + static_cast<uint64_t>(kind));
-  ModelStore store;
-  for (int i = 0; i < 3000; ++i) {
-    store.Add(static_cast<Timestamp>(rng.NextBelow(5000)),
-              rng.NextDouble() * 10 - 5);
-  }
-  IncrementalWindowState st;
-  Timestamp start = 0;
-  const Timestamp width = 500;
-  for (int step = 0; step < 200; ++step) {
-    start += static_cast<Timestamp>(rng.NextBelow(80));  // may exceed width
-    const Timestamp end = start + width;
-    st.Slide(start, end, kind, store.Scanner());
-    const AggState expect = store.Recompute(start, end);
-    EXPECT_EQ(st.agg().count, expect.count) << "step " << step;
-    EXPECT_NEAR(st.agg().sum, expect.sum, 1e-6) << "step " << step;
-    if (!IsInvertible(kind) && expect.count > 0) {
-      EXPECT_DOUBLE_EQ(st.agg().Result(kind), expect.Result(kind));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllOperators, IncrementalSlidePropertyTest,
-                         ::testing::Values(AggKind::kSum, AggKind::kCount,
-                                           AggKind::kAvg, AggKind::kMin,
-                                           AggKind::kMax),
-                         [](const auto& info) {
-                           return std::string(AggKindName(info.param));
-                         });
-
-// ------------------------------------------------------ TwoStacksWindow
-
-TEST(TwoStacksTest, EmptyWindowIdentity) {
-  TwoStacksWindow max_w(AggKind::kMax);
-  EXPECT_TRUE(max_w.empty());
-  EXPECT_EQ(max_w.Query(), -std::numeric_limits<double>::infinity());
-  TwoStacksWindow min_w(AggKind::kMin);
-  EXPECT_EQ(min_w.Query(), std::numeric_limits<double>::infinity());
-}
-
-TEST(TwoStacksTest, AppendAndQueryMax) {
-  TwoStacksWindow w(AggKind::kMax);
-  w.Append(1, 3.0);
-  w.Append(2, 7.0);
-  w.Append(3, 5.0);
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w.Query(), 7.0);
-  EXPECT_EQ(w.FrontTs(), 1);
-}
-
-TEST(TwoStacksTest, EvictionDropsOldMaximum) {
-  TwoStacksWindow w(AggKind::kMax);
-  w.Append(1, 9.0);
-  w.Append(2, 4.0);
-  w.Append(3, 6.0);
-  EXPECT_DOUBLE_EQ(w.Query(), 9.0);
-  EXPECT_EQ(w.EvictBefore(2), 1u);  // the 9.0 leaves the window
-  EXPECT_DOUBLE_EQ(w.Query(), 6.0);
-  EXPECT_EQ(w.EvictBefore(4), 2u);
-  EXPECT_TRUE(w.empty());
-}
-
-TEST(TwoStacksTest, EvictBeforeIsIdempotent) {
-  TwoStacksWindow w(AggKind::kMin);
-  w.Append(5, 1.0);
-  EXPECT_EQ(w.EvictBefore(5), 0u);
-  EXPECT_EQ(w.EvictBefore(5), 0u);
-  EXPECT_DOUBLE_EQ(w.Query(), 1.0);
-}
-
-TEST(TwoStacksTest, FlipPreservesOrderAcrossManyCycles) {
-  TwoStacksWindow w(AggKind::kMax);
-  // Repeated append/evict cycles force many flips.
-  Timestamp ts = 0;
-  std::deque<std::pair<Timestamp, double>> model;
-  Rng rng(55);
-  for (int cycle = 0; cycle < 200; ++cycle) {
-    const int appends = 1 + static_cast<int>(rng.NextBelow(8));
-    for (int i = 0; i < appends; ++i) {
-      const double v = rng.NextDouble() * 100;
-      w.Append(ts, v);
-      model.push_back({ts, v});
-      ++ts;
-    }
-    const Timestamp bound = ts - static_cast<Timestamp>(rng.NextBelow(10));
-    w.EvictBefore(bound);
-    while (!model.empty() && model.front().first < bound) {
-      model.pop_front();
-    }
-    ASSERT_EQ(w.size(), model.size()) << "cycle " << cycle;
-    double expect = -std::numeric_limits<double>::infinity();
-    for (const auto& [mts, mv] : model) expect = std::max(expect, mv);
-    if (!model.empty()) {
-      ASSERT_DOUBLE_EQ(w.Query(), expect) << "cycle " << cycle;
-      ASSERT_EQ(w.FrontTs(), model.front().first);
-    }
-  }
-}
-
-TEST(TwoStacksTest, ClearResets) {
-  TwoStacksWindow w(AggKind::kMax);
-  w.Append(1, 2.0);
-  w.Clear();
-  EXPECT_TRUE(w.empty());
-  w.Append(0, 5.0);  // earlier ts is fine after Clear
-  EXPECT_DOUBLE_EQ(w.Query(), 5.0);
-}
-
-// ------------------------------------------- NonInvertibleWindowState
-
-TEST(NonInvertibleWindowTest, MatchesRecomputeOnRandomSlides) {
-  for (AggKind kind : {AggKind::kMin, AggKind::kMax}) {
-    Rng rng(888 + static_cast<uint64_t>(kind));
-    ModelStore store;
-    for (int i = 0; i < 3000; ++i) {
-      store.Add(static_cast<Timestamp>(rng.NextBelow(5000)),
-                rng.NextDouble() * 10 - 5);
-    }
-    NonInvertibleWindowState st(kind);
-    Timestamp start = 0;
-    const Timestamp width = 400;
-    for (int step = 0; step < 200; ++step) {
-      start += static_cast<Timestamp>(rng.NextBelow(60));
-      const Timestamp end = start + width;
-      st.Slide(start, end, store.Scanner());
-      const AggState expect = store.Recompute(start, end);
-      ASSERT_EQ(st.count(), expect.count) << "step " << step;
-      if (expect.count > 0) {
-        ASSERT_DOUBLE_EQ(st.Result(), expect.Result(kind))
-            << "step " << step;
-      }
-    }
-  }
-}
-
-TEST(NonInvertibleWindowTest, OverlappingSlideVisitsOnlyDelta) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 100; ++ts) {
-    store.Add(ts, static_cast<double>(ts % 13));
-  }
-  NonInvertibleWindowState st(AggKind::kMax);
-  auto first = st.Slide(0, 49, store.Scanner());
-  EXPECT_TRUE(first.recomputed);
-  EXPECT_EQ(first.visited, 50u);
-  auto second = st.Slide(10, 59, store.Scanner());
-  EXPECT_FALSE(second.recomputed);
-  EXPECT_EQ(second.visited, 10u);  // only the add range 50..59
-  EXPECT_DOUBLE_EQ(st.Result(), 12.0);
-  EXPECT_EQ(st.count(), 50u);
-}
-
-TEST(NonInvertibleWindowTest, DisjointSlideRebuilds) {
-  ModelStore store;
-  for (Timestamp ts = 0; ts < 100; ++ts) store.Add(ts, 1.0);
-  NonInvertibleWindowState st(AggKind::kMin);
-  st.Slide(0, 9, store.Scanner());
-  auto stats = st.Slide(50, 59, store.Scanner());
-  EXPECT_TRUE(stats.recomputed);
-  EXPECT_EQ(st.count(), 10u);
-}
-
-TEST(NonInvertibleWindowTest, UnsortedTeamDeltasAreSortedBeforeAppend) {
-  // Simulate team scans returning per-index sorted runs that interleave:
-  // the scanner below yields two runs whose timestamps alternate.
-  auto scanner = [](Timestamp lo, Timestamp hi, auto&& fn) {
-    for (Timestamp ts = lo; ts <= hi; ++ts) {
-      if (ts % 2 == 0) fn(Tuple{ts, 0, static_cast<double>(ts)});
-    }
-    for (Timestamp ts = lo; ts <= hi; ++ts) {
-      if (ts % 2 == 1) fn(Tuple{ts, 0, static_cast<double>(ts)});
-    }
-  };
-  NonInvertibleWindowState st(AggKind::kMax);
-  st.Slide(0, 9, scanner);
-  EXPECT_EQ(st.count(), 10u);
-  EXPECT_DOUBLE_EQ(st.Result(), 9.0);
-  // Evicting via the next slide must drop exactly ts 0..4.
-  st.Slide(5, 14, scanner);
-  EXPECT_EQ(st.count(), 10u);
-  EXPECT_DOUBLE_EQ(st.Result(), 14.0);
 }
 
 }  // namespace

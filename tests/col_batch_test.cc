@@ -541,8 +541,8 @@ INSTANTIATE_TEST_SUITE_P(AllAggs, ColumnarAggTest,
 TEST(ColumnarEngineTest, MixedBatchSizesInterleaveScalarAndColumnar) {
   // A small wm_every keeps many drains under columnar_min_run, so scalar
   // replays and columnar groups interleave within one run — both must
-  // compose exactly, and the incremental states must survive the
-  // hand-offs (Reseed / Invalidate) between the two paths.
+  // compose exactly, reading and advancing the same resident key
+  // windows.
   const WorkloadSpec w = TestWorkload(321, /*keys=*/4);
   const QuerySpec q = TestQuery();
   const auto events = Generate(w);

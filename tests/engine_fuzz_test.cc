@@ -40,6 +40,7 @@ struct FuzzCase {
        << " inc=" << options.incremental_agg
        << " min_run=" << options.columnar_min_run
        << " partitions=" << options.num_partitions
+       << " rebalance_every=" << options.rebalance_interval_events
        << " | keys=" << workload.num_keys << " pre=" << query.window.pre
        << " fol=" << query.window.fol << " lateness=" << query.lateness_us
        << " probe_frac=" << workload.probe_fraction
@@ -54,11 +55,14 @@ struct FuzzCase {
 
 // Trials [0, kExactTrials) are the original exact-mode recipes. The
 // eager trials that follow are a quarter of the first kExactTrials +
-// kEagerTrials; the last kPerBaseTrials force the per-base path in
-// watermark mode.
+// kEagerTrials; the next kPerBaseTrials force the per-base path in
+// watermark mode. The last kTeamGrowthTrials grow Scale-OIJ teams under
+// carried resident windows, alternating watermark and eager runs: after
+// a team grows, no non-late probe may land at or below a carried end.
 constexpr int kExactTrials = 24;
 constexpr int kEagerTrials = 8;
 constexpr int kPerBaseTrials = 4;
+constexpr int kTeamGrowthTrials = 4;
 
 FuzzCase DrawCase(Rng& rng, int trial) {
   FuzzCase c;
@@ -98,12 +102,25 @@ FuzzCase DrawCase(Rng& rng, int trial) {
 
   if (trial < kExactTrials + kEagerTrials) {
     c.query.emit_mode = EmitMode::kEager;
-    // Few keys give windows large enough that per-base states slide
-    // rather than rescan, which is where eager carries must stop short.
+    // Few keys give resident windows of many probes, where eager
+    // carries must stop short of the completeness horizon.
     c.workload.num_keys = 1 + rng.NextBelow(16);
     if (rng.NextBelow(2) == 0) c.options.columnar_min_run = UINT32_MAX;
-  } else {
+  } else if (trial < kExactTrials + kEagerTrials + kPerBaseTrials) {
     c.options.columnar_min_run = UINT32_MAX;
+  } else {
+    // A few hot keys on several joiners and a short rebalance interval:
+    // teams replicate while every key carries a resident window.
+    c.kind = EngineKind::kScaleOij;
+    c.options.num_joiners = 2 + static_cast<uint32_t>(rng.NextBelow(3));
+    c.options.dynamic_schedule = true;
+    c.options.incremental_agg = true;
+    c.options.rebalance_interval_events = 256 << rng.NextBelow(3);
+    c.workload.num_keys = 1 + rng.NextBelow(4);
+    const AggKind team_kinds[] = {AggKind::kMin, AggKind::kMax,
+                                  AggKind::kAvg};
+    c.query.agg = team_kinds[rng.NextBelow(3)];
+    if (trial % 2 == 1) c.query.emit_mode = EmitMode::kEager;
   }
   return c;
 }
@@ -194,7 +211,8 @@ TEST_P(EngineFuzzTest, RandomConfigMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Trials, EngineFuzzTest,
-    ::testing::Range(0, kExactTrials + kEagerTrials + kPerBaseTrials));
+    ::testing::Range(0, kExactTrials + kEagerTrials + kPerBaseTrials +
+                            kTeamGrowthTrials));
 
 }  // namespace
 }  // namespace oij

@@ -382,6 +382,31 @@ TEST(EngineBehaviourTest, EvictionBoundsStateGrowth) {
   }
 }
 
+TEST(EngineBehaviourTest, ScaleOijBuffersOneWindowPlusLateness) {
+  // No read goes below the oldest pending window start, so Scale-OIJ's
+  // read floor trails it by one window, not by a second one kept for
+  // subtract-scans: the index holds about lateness plus one window of
+  // probes (plus a punctuation interval), well under 1.5 windows. One
+  // joiner: with more, the floor is the slowest joiner's, and how far
+  // the joiners drift apart depends on thread scheduling.
+  const Timestamp pre = 20'000;
+  WorkloadSpec w = TestWorkload(171);
+  w.window = IntervalWindow{pre, 0};
+  w.total_tuples = 200'000;
+  const QuerySpec q = TestQuery(EmitMode::kWatermark, AggKind::kSum,
+                                w.lateness_us, {pre, 0});
+  const auto events = Generate(w);
+
+  EngineOptions options;
+  options.num_joiners = 1;
+  const auto run = RunOverEvents(EngineKind::kScaleOij, events, q, options);
+  const double probes_per_us =
+      w.probe_fraction * static_cast<double>(w.event_rate_per_sec) / 1e6;
+  EXPECT_GT(run.stats.evicted_tuples, 0u);
+  EXPECT_LT(static_cast<double>(run.stats.peak_buffered_tuples),
+            probes_per_us * (static_cast<double>(w.lateness_us) + 1.5 * pre));
+}
+
 TEST(EngineBehaviourTest, KeyOijVisitsOutOfWindowDataUnderLateness) {
   // The defining inefficiency (Fig 7): with large lateness, Key-OIJ's
   // effectiveness decays while Scale-OIJ's stays at 1.
@@ -417,9 +442,9 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
 
   EngineOptions options;
   options.num_joiners = 2;
-  // Per-base path only: the incremental-slide visit saving this test
-  // measures is a per-base property; the columnar batch path amortizes
-  // differently (one union-window gather per key-group).
+  // Per-base path only: each base, a key-group of one, gathers just the
+  // delta above its key's resident window; the recompute arm regathers
+  // every window whole.
   options.columnar_min_run = UINT32_MAX;
   options.incremental_agg = true;
   const auto inc = RunOverEvents(EngineKind::kScaleOij, events, q, options);
@@ -433,7 +458,7 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
 }
 
 /// Scale-OIJ on the `default` shape (100 keys, 2 joiners, ~5 bases of
-/// each key per punctuation, around the group bar) with window
+/// each key per punctuation, around FinalizeDriver::kMinGroup) with window
 /// [ts - pre, ts], incremental aggregation on and then off. The results
 /// of the two runs must be equal.
 std::pair<EngineRun, EngineRun> RunIncAndRecompute(Timestamp pre) {
@@ -458,8 +483,7 @@ std::pair<EngineRun, EngineRun> RunIncAndRecompute(Timestamp pre) {
 
 TEST(EngineBehaviourTest, IncrementalKeepsColumnarShareOnSmallWindows) {
   // |w| = 1000 us, ~5 matches a window. A columnar group takes
-  // invertible windows from prefix sums at O(1) per base, and windows
-  // this small are rescanned rather than slid, so incremental
+  // invertible windows from prefix sums at O(1) per base, so incremental
   // aggregation must not keep bases away from the group.
   const auto [inc, full] = RunIncAndRecompute(1000);
   ASSERT_GT(full.stats.columnar_bases, 0u);
@@ -467,21 +491,21 @@ TEST(EngineBehaviourTest, IncrementalKeepsColumnarShareOnSmallWindows) {
             0.9 * static_cast<double>(full.stats.columnar_bases));
 }
 
-TEST(EngineBehaviourTest, IncrementalSlidesLargeWindowsPastSmallGroups) {
-  // |w| = 20 ms, ~100 matches a window. A group re-reads its whole union
-  // window while a sliding key reads only each base's delta, so small
-  // groups of a sliding key must stay per base.
+TEST(EngineBehaviourTest, IncrementalGathersOnlyDeltasOnLargeWindows) {
+  // |w| = 20 ms, ~100 matches a window. Groups and single bases alike
+  // extend their key's resident window by the delta above its end, where
+  // the recompute arm regathers each union window whole.
   const auto [inc, full] = RunIncAndRecompute(20'000);
-  // ~1/4 when small groups slide; over 1/2 when they re-gather.
+  // Over 1/2 if groups regathered their union windows.
   EXPECT_LT(inc.stats.visited, full.stats.visited / 3);
 }
 
-TEST(EngineBehaviourTest, PerBaseRescanIsExactAcrossTheSlideCutoff) {
-  // A carried Subtract-on-Evict window of few probes is rescanned
-  // instead of slid (kMinSlideProbes in scale_oij.cc). Zipf keys put
-  // per-key window populations on both sides of that cutoff, so a sum
-  // key's consecutive bases switch between sliding and rescanning; max
-  // (Two-Stacks, which always slides) runs over the same populations.
+TEST(EngineBehaviourTest, PerBaseResidentWindowsExactOnSkewedPopulations) {
+  // Per-base finalizes over resident key windows of a few to hundreds of
+  // probes: Zipf keys put per-key window populations far apart, so
+  // trims, compactions and restarts of sparse and dense keys interleave;
+  // sum takes prefix sums and max the monotonic deque over the same
+  // populations.
   const Timestamp disorder = 80;
   WorkloadSpec w = TestWorkload(161, /*keys=*/50, disorder);
   w.window = IntervalWindow{1000, 0};
@@ -502,7 +526,8 @@ TEST(EngineBehaviourTest, PerBaseRescanIsExactAcrossTheSlideCutoff) {
         expected.begin(), expected.end(), [](const auto& a, const auto& b) {
           return a.match_count < b.match_count;
         });
-    // The populations must straddle the cutoff for this test to bite.
+    // The populations must span sparse and dense keys for this test to
+    // bite.
     ASSERT_LT(fewest->match_count, 8u);
     ASSERT_GT(most->match_count, 64u);
     ExpectResultsEqual(
@@ -538,9 +563,9 @@ TEST(EngineBehaviourTest, DynamicScheduleBalancesFewKeys) {
 }
 
 TEST(EngineBehaviourTest, EagerApproximationIsSandwiched) {
-  // The sandwich must hold on every finalize path: per-base slides
-  // (columnar_min_run = UINT32_MAX) and columnar groups, invertible and
-  // Two-Stacks aggregates, one and two joiners.
+  // The sandwich must hold on every finalize path: per-base finalizes
+  // (columnar_min_run = UINT32_MAX) and columnar groups, prefix-sum and
+  // deque aggregates, one and two joiners.
   const Timestamp disorder = 80;
   WorkloadSpec w = TestWorkload(141, /*keys=*/4, disorder);
   const auto events = Generate(w);
