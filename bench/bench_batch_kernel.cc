@@ -7,10 +7,10 @@
 // The driver pushes rounds of a probe-heavy mix — kProbesPerRound probe
 // tuples spread across each round, then exactly `batch` base tuples, then
 // one watermark releasing precisely that batch — so each drain hands the
-// joiner a run of `batch` ready bases and the columnar path (min run 16)
-// engages exactly at the batch sizes it is built for. One joiner, so the
-// whole run stays in one stage; watermark emit mode, so push order inside
-// a round cannot perturb results.
+// joiner `batch` ready bases, `batch / keys` of each key, and a key-group
+// goes columnar once it reaches columnar_min_run (default 4). One
+// joiner, so every key's bases share one drain; watermark emit mode, so
+// push order inside a round cannot perturb results.
 //
 // Output: one human-readable block per (engine × keys) and one BENCHJSON
 // line per (engine × keys × batch) that tools/bench_to_json.sh collects
@@ -51,7 +51,7 @@ RunOutcome DriveRounds(EngineKind kind, uint32_t keys, uint32_t batch,
   query.emit_mode = EmitMode::kWatermark;
 
   EngineOptions options;
-  options.num_joiners = 1;  // the whole batch drains as one staged run
+  options.num_joiners = 1;  // the whole batch drains at one watermark
   if (!columnar) options.columnar_min_run = UINT32_MAX;
   options.enable_watchdog = false;
 

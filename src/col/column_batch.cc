@@ -1,25 +1,8 @@
 #include "col/column_batch.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace oij::col {
-
-size_t ColumnarBatchStage::SortByKey() {
-  order_.resize(ts_.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  // Stable: append order is pop order (ts non-decreasing), so each
-  // key-group comes out ts-sorted without comparing timestamps.
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return key_[a] < key_[b];
-                   });
-  size_t groups = 0;
-  for (size_t i = 0; i < order_.size(); ++i) {
-    if (i == 0 || key_[order_[i]] != key_[order_[i - 1]]) ++groups;
-  }
-  return groups;
-}
 
 namespace {
 

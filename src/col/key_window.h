@@ -69,7 +69,7 @@ class KeyWindow {
  private:
   void Reset();
 
-  ProbeColumns cols_;  ///< heap-backed: one window per key
+  ProbeColumns cols_;
   /// sums_[i] = payload[0] + ... + payload[i - 1] for i <= cols_.size();
   /// entries past that are stale. Never shrinks, so a window that
   /// restarts every finalize does not refill it.

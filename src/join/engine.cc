@@ -48,7 +48,7 @@ Status EngineOptions::Validate() const {
   }
   if (columnar_min_run < 2) {
     return Status::InvalidArgument(
-        "columnar_min_run must be >= 2 (a run of one base is always "
+        "columnar_min_run must be >= 2 (a group of one base is always "
         "cheaper scalar)");
   }
   if (finish_timeout_us <= 0) {

@@ -192,13 +192,13 @@ struct EngineOptions {
 
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
 
-  /// Minimum ready bases in one drain before the joiners finalize them
-  /// through the columnar kernels (SoA transpose, one index gather per
-  /// key-group, sweep, SIMD aggregation); shorter runs join one base at
-  /// a time, because the transpose/sort only amortizes at batch sizes
-  /// around this default. Results are identical either way. Must be
+  /// Minimum ready bases of one key in one drain before the joiners
+  /// finalize them as a group through the columnar kernels (one index
+  /// gather, sweep, SIMD aggregation); smaller key-groups join one base
+  /// at a time, because a group of one or two has nothing to amortize
+  /// the gather against. Results are identical either way. Must be
   /// >= 2; UINT32_MAX keeps every drain on the per-base path.
-  uint32_t columnar_min_run = 16;
+  uint32_t columnar_min_run = 4;
 
   /// Scale-OIJ: router events between rebalance attempts.
   uint32_t rebalance_interval_events = 32768;

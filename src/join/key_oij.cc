@@ -73,8 +73,7 @@ void KeyOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           q->spec.late_policy != LatePolicy::kBestEffortJoin) {
         continue;
       }
-      s.slots[q->ord].pending.push(
-          PendingBase{event.tuple, event.arrival_us});
+      s.slots[q->ord].pending.Push(event.tuple, event.arrival_us);
     }
   }
 }
@@ -114,7 +113,7 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     const QuerySpec& qspec = q->spec;
     s.driver.Drain(
         s.slots[q->ord].pending, qspec.window, options().columnar_min_run, s,
-        [&](const Tuple& t) { return t.ts + qspec.window.fol <= threshold; },
+        [threshold](Key) { return threshold; },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, base, arrival_us);
         },
@@ -218,8 +217,8 @@ bool KeyOijEngine::CollectSnapshotState(uint32_t joiner,
   // (the per-key buffers), then unfinalized bases — re-Pushing them in
   // this order through normal ingest rebuilds the state exactly.
   // The late-probe annex is intentionally not snapshotted (late data is
-  // best-effort only); pending bases are deduplicated across query
-  // slots — replay fans them back out to every active query.
+  // best-effort only); pending bases are merged across query slots —
+  // replay fans them back out to every active query.
   const JoinerState& s = *states_[joiner];
   out->reserve(out->size() + s.buffered);
   for (const auto& [key, buffer] : s.buffers) {

@@ -44,7 +44,7 @@ class KeyOijEngine : public ParallelEngineBase {
   /// query gates finalization on its own FOL offset but scans the one
   /// shared set of per-key buffers.
   struct QuerySlot {
-    PendingQueue pending;
+    PendingRuns pending;
   };
 
   /// All state owned by one joiner thread; padded out to its own cache
@@ -58,7 +58,6 @@ class KeyOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots{1};  ///< indexed by query ordinal
     std::vector<const Tuple*> scratch_matches;
 
-    /// Heap-backed: Key-OIJ has no arena.
     FinalizeDriver driver;
 
     /// Max (PRE + FOL) over every query this joiner has ever been told

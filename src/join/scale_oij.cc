@@ -122,9 +122,7 @@ void ScaleOijEngine::PublishProgress(JoinerState& s) {
 void ScaleOijEngine::PublishReadFloor(JoinerState& s) {
   Timestamp basis = s.last_wm;
   for (const QuerySlot& qs : s.slots) {
-    if (!qs.pending.empty()) {
-      basis = std::min(basis, qs.pending.top().tuple.ts);
-    }
+    basis = std::min(basis, qs.pending.OldestTs());
   }
   if (basis == kMinTimestamp) return;  // nothing observed yet
   const Timestamp reach = s.reach;
@@ -189,8 +187,7 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           q->spec.late_policy != LatePolicy::kBestEffortJoin) {
         continue;
       }
-      s.slots[q->ord].pending.push(
-          PendingBase{event.tuple, event.arrival_us});
+      s.slots[q->ord].pending.Push(event.tuple, event.arrival_us);
     }
   }
 }
@@ -256,11 +253,10 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     col::KeyWindow* window = nullptr;
     popped |= s.driver.Drain(
         slot.pending, qspec.window, options().columnar_min_run, s,
-        [&](const Tuple& t) {
+        [&](Key key) {
           const uint32_t p =
-              PartitionTable::PartitionOf(t.key, options().num_partitions);
-          return qspec.window.end_for(t.ts) <=
-                 TeamMinProgress(s.schedule->teams[p]);
+              PartitionTable::PartitionOf(key, options().num_partitions);
+          return TeamMinProgress(s.schedule->teams[p]);
         },
         [&](const Tuple& base, int64_t arrival_us) {
           JoinOne(s, *q, slot, base, arrival_us);
@@ -431,8 +427,8 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
   // The annex (late best-effort probes) is intentionally *not*
   // snapshotted: replayed tuples re-enter under the restored watermark
   // gate, and late data is only ever best-effort. Pending bases are
-  // deduplicated across query slots — replay fans a base back out to
-  // every active query. (A base already finalized for a narrow-window
+  // merged across query slots — replay fans a base back out to every
+  // active query. (A base already finalized for a narrow-window
   // query but still pending for a wider one is re-joined for both on a
   // snapshot-based recovery; exactly-once per query across divergent
   // windows needs full-log replay, i.e. snapshots off.)

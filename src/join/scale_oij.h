@@ -45,9 +45,10 @@ namespace oij {
 /// partition's team has passed its window end; the acquire-load of a
 /// teammate's progress synchronizes with that teammate's release-store,
 /// so every insert the teammate performed earlier is visible to the scan.
-/// Teams only grow and joiners refresh their schedule snapshot at least
-/// once per punctuation, so a finalizing joiner's team view always covers
-/// every member that may hold in-window tuples.
+/// Teams only grow and a joiner refreshes its schedule snapshot at every
+/// drain in which PartitionTable::version() has moved, so a finalizing
+/// joiner's team view always covers every member that may hold
+/// in-window tuples.
 ///
 /// Eviction. Each joiner additionally publishes a monotone `read_floor`:
 /// a lower bound on every index timestamp it may still scan, derived from
@@ -86,7 +87,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// finalization) and its own resident key windows, but all of them
   /// read the one shared time-travel index.
   struct QuerySlot {
-    PendingQueue pending;
+    PendingRuns pending;
     std::unordered_map<Key, col::KeyWindow> windows;
   };
 
@@ -95,8 +96,7 @@ class ScaleOijEngine : public ParallelEngineBase {
                 uint64_t seed)
         : ebr_slot(slot),
           index(arena, ebr, slot, seed),
-          annex(arena, ebr, slot, seed ^ 0xa22e7ULL),
-          driver(&arena) {
+          annex(arena, ebr, slot, seed ^ 0xa22e7ULL) {
       slots.resize(1);  // ordinal 0: the primary query
     }
 
@@ -111,8 +111,8 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
-    /// Stages on slabs loaned from this joiner's own arena, so evicted
-    /// index slabs recycle straight into batch staging.
+    /// Takes ready key-groups off `slots[q].pending`; its sweep scratch
+    /// is reused across drains.
     FinalizeDriver driver;
     /// Finalize scratch: a single base's stateless gather, a group's
     /// aggregates, the min/max deque.

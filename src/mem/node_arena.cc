@@ -25,7 +25,7 @@ namespace {
 
 // ASan cannot see memory the arena recycles internally. In ASan builds
 // every block or slab byte not handed out is poisoned, so a read through
-// a freed node (or a returned column slab) reports use-after-poison.
+// a freed node reports use-after-poison.
 // Blocks are poisoned at their real free (Deallocate, run by the epoch
 // drain), never at retire: readers still walk retired runs.
 inline void Poison([[maybe_unused]] const void* p,
@@ -119,27 +119,6 @@ void NodeArena::Deallocate(void* ptr, size_t bytes) {
   }
 }
 
-void* NodeArena::AcquireSlab() {
-  Bump(slab_loans_, 1);
-  Slab* slab = empty_;
-  if (slab != nullptr) {
-    empty_ = slab->next;
-  } else {
-    slab = NewSlab();
-  }
-  // The borrower may overwrite the whole slab, header included;
-  // ReleaseSlab() rebuilds it before the slab re-enters the pool.
-  Unpoison(slab, kSlabBytes);
-  return slab;
-}
-
-void NodeArena::ReleaseSlab(void* slab) {
-  Slab* s = new (slab) Slab();
-  Poison(reinterpret_cast<char*>(s) + kDataOffset, kSlabBytes - kDataOffset);
-  s->next = empty_;
-  empty_ = s;
-}
-
 NodeArena::Slab* NodeArena::TakeSlab(uint32_t class_bytes) {
   Slab* slab = empty_;
   if (slab != nullptr) {
@@ -218,7 +197,6 @@ NodeArena::Stats NodeArena::snapshot() const {
   s.allocations = allocations_.load(std::memory_order_relaxed);
   s.slab_recycles = slab_recycles_.load(std::memory_order_relaxed);
   s.oversize_allocs = oversize_allocs_.load(std::memory_order_relaxed);
-  s.slab_loans = slab_loans_.load(std::memory_order_relaxed);
   s.numa_bound_slabs = numa_bound_slabs_.load(std::memory_order_relaxed);
   return s;
 }

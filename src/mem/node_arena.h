@@ -72,23 +72,6 @@ class NodeArena {
   /// it from the node height).
   void Deallocate(void* ptr, size_t bytes);
 
-  /// Usable bytes of a loaned slab (see AcquireSlab).
-  static constexpr size_t kSlabDataBytes = kSlabBytes;
-
-  /// Loans one whole kSlabBytes-aligned slab for bulk column staging
-  /// (owner thread only) — the backing store of the columnar batch
-  /// kernels' SoA buffers (src/col/). The borrower owns all kSlabBytes
-  /// (including the header region: the header is rebuilt on release) and
-  /// must never pass addresses inside a loaned slab to Deallocate().
-  /// Loans draw from the shared empty pool first, so column staging
-  /// recycles the same hot slabs eviction just drained.
-  void* AcquireSlab();
-
-  /// Returns a slab obtained from AcquireSlab() to the empty pool
-  /// (owner thread only), where any size class — or a later loan — can
-  /// reuse it.
-  void ReleaseSlab(void* slab);
-
   /// Point-in-time counters; safe from any thread.
   struct Stats {
     uint64_t reserved_bytes = 0;   ///< slab bytes held (incl. empty pool)
@@ -96,7 +79,6 @@ class NodeArena {
     uint64_t allocations = 0;      ///< cumulative Allocate() calls
     uint64_t slab_recycles = 0;    ///< fully-dead slabs returned to pool
     uint64_t oversize_allocs = 0;  ///< requests above kMaxClassBytes
-    uint64_t slab_loans = 0;       ///< cumulative AcquireSlab() calls
     uint64_t numa_bound_slabs = 0;  ///< fresh slabs mbind succeeded on
   };
   Stats snapshot() const;
@@ -152,7 +134,6 @@ class NodeArena {
   std::atomic<uint64_t> allocations_{0};
   std::atomic<uint64_t> slab_recycles_{0};
   std::atomic<uint64_t> oversize_allocs_{0};
-  std::atomic<uint64_t> slab_loans_{0};
   std::atomic<uint64_t> numa_bound_slabs_{0};
 
   /// OS node fresh slabs are mbind-bound to; -1 = first-touch default.

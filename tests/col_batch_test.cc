@@ -1,7 +1,5 @@
 // Columnar batch-join kernel tests (src/col/, DESIGN.md §5h):
 //
-//   * ColumnBuffer arena slab loans: acquisition, heap migration past
-//     one slab, and return of the slab to the arena's empty pool;
 //   * sweep-merge window slices vs a brute-force filter on adversarial
 //     timestamp patterns (duplicates on boundaries, ±1 edges);
 //   * GatherRange vs TimeTravelIndex::ForEachInRange equivalence;
@@ -128,58 +126,6 @@ QuerySpec TestQuery(AggKind agg = AggKind::kSum, Timestamp lateness = 50,
   q.emit_mode = EmitMode::kWatermark;
   q.late_policy = policy;
   return q;
-}
-
-// ----------------------------------------------- ColumnBuffer slab loans
-
-TEST(ColumnBufferTest, LoansSlabThenMigratesToHeap) {
-  NodeArena arena;
-  constexpr size_t kSlabCap = NodeArena::kSlabDataBytes / sizeof(double);
-  {
-    col::ColumnBuffer<double> buf(&arena);
-    buf.PushBack(1.5);
-    EXPECT_TRUE(buf.arena_backed());
-    EXPECT_EQ(arena.snapshot().slab_loans, 1u);
-    // Fill the whole slab: no migration yet.
-    for (size_t i = 1; i < kSlabCap; ++i) {
-      buf.PushBack(static_cast<double>(i));
-    }
-    EXPECT_TRUE(buf.arena_backed());
-    EXPECT_EQ(buf.size(), kSlabCap);
-    // One past the slab migrates to the heap; contents survive and the
-    // slab goes back to the arena's empty pool.
-    buf.PushBack(-2.0);
-    EXPECT_FALSE(buf.arena_backed());
-    EXPECT_EQ(buf.size(), kSlabCap + 1);
-    EXPECT_EQ(buf[0], 1.5);
-    EXPECT_EQ(buf[kSlabCap - 1], static_cast<double>(kSlabCap - 1));
-    EXPECT_EQ(buf[kSlabCap], -2.0);
-    EXPECT_GE(arena.EmptySlabCount(), 1u);
-  }
-  // A fresh buffer recycles the returned slab instead of growing the
-  // arena.
-  const uint64_t reserved_before = arena.snapshot().reserved_bytes;
-  col::ColumnBuffer<double> again(&arena);
-  again.PushBack(3.0);
-  EXPECT_TRUE(again.arena_backed());
-  EXPECT_EQ(arena.snapshot().reserved_bytes, reserved_before);
-}
-
-TEST(ColumnBufferTest, ClearKeepsBackingStore) {
-  NodeArena arena;
-  col::ColumnBuffer<Timestamp> buf(&arena);
-  for (int i = 0; i < 100; ++i) buf.PushBack(i);
-  EXPECT_TRUE(buf.arena_backed());
-  buf.Clear();
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_TRUE(buf.arena_backed());  // reuse across drains, no churn
-  buf.PushBack(7);
-  EXPECT_EQ(buf[0], 7);
-  // Heap mode (no arena) works the same.
-  col::ColumnBuffer<double> heap;
-  for (int i = 0; i < 1000; ++i) heap.PushBack(i * 0.5);
-  EXPECT_FALSE(heap.arena_backed());
-  EXPECT_EQ(heap[999], 999 * 0.5);
 }
 
 // ------------------------------------------- sweep merge: window slices
@@ -343,8 +289,7 @@ TEST(ProbeColumnsTest, RunMergeMatchesStableSort) {
   // one ended (no run break): the columns must come out bit-equal to a
   // stable sort of the concatenation by ts.
   std::mt19937_64 rng(0x6d657267u);
-  NodeArena arena;
-  col::ProbeColumns probes(&arena);  // reused, like a driver's scratch
+  col::ProbeColumns probes;  // reused, like a driver's scratch
   for (int iter = 0; iter < 3000; ++iter) {
     const int sources = 1 + static_cast<int>(rng() % 6);
     std::vector<std::pair<Timestamp, double>> want;

@@ -59,10 +59,15 @@ struct FuzzCase {
 // watermark mode. The last kTeamGrowthTrials grow Scale-OIJ teams under
 // carried resident windows, alternating watermark and eager runs: after
 // a team grows, no non-late probe may land at or below a carried end.
+// The kGateTrials after them put both finalizing engines' key-groups
+// around the columnar bar: a few keys, disorder up to the lateness (so
+// arrivals insert anywhere in a key's pending run), and a small
+// columnar_min_run.
 constexpr int kExactTrials = 24;
 constexpr int kEagerTrials = 8;
 constexpr int kPerBaseTrials = 4;
 constexpr int kTeamGrowthTrials = 4;
+constexpr int kGateTrials = 4;
 
 FuzzCase DrawCase(Rng& rng, int trial) {
   FuzzCase c;
@@ -108,7 +113,8 @@ FuzzCase DrawCase(Rng& rng, int trial) {
     if (rng.NextBelow(2) == 0) c.options.columnar_min_run = UINT32_MAX;
   } else if (trial < kExactTrials + kEagerTrials + kPerBaseTrials) {
     c.options.columnar_min_run = UINT32_MAX;
-  } else {
+  } else if (trial < kExactTrials + kEagerTrials + kPerBaseTrials +
+                         kTeamGrowthTrials) {
     // A few hot keys on several joiners and a short rebalance interval:
     // teams replicate while every key carries a resident window.
     c.kind = EngineKind::kScaleOij;
@@ -120,6 +126,14 @@ FuzzCase DrawCase(Rng& rng, int trial) {
     const AggKind team_kinds[] = {AggKind::kMin, AggKind::kMax,
                                   AggKind::kAvg};
     c.query.agg = team_kinds[rng.NextBelow(3)];
+    if (trial % 2 == 1) c.query.emit_mode = EmitMode::kEager;
+  } else {
+    const uint32_t min_runs[] = {2, 3, 4, 8};
+    c.options.columnar_min_run = min_runs[rng.NextBelow(4)];
+    c.kind = (trial / 2) % 2 == 0 ? EngineKind::kKeyOij
+                                  : EngineKind::kScaleOij;
+    c.workload.num_keys = 1 + rng.NextBelow(3);
+    c.workload.disorder_bound_us = lateness;
     if (trial % 2 == 1) c.query.emit_mode = EmitMode::kEager;
   }
   return c;
@@ -212,7 +226,7 @@ TEST_P(EngineFuzzTest, RandomConfigMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Trials, EngineFuzzTest,
     ::testing::Range(0, kExactTrials + kEagerTrials + kPerBaseTrials +
-                            kTeamGrowthTrials));
+                            kTeamGrowthTrials + kGateTrials));
 
 }  // namespace
 }  // namespace oij

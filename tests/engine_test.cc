@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "common/clock.h"
 #include "core/engine_factory.h"
+#include "join/finalize_driver.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "stream/generator.h"
@@ -458,7 +461,7 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
 }
 
 /// Scale-OIJ on the `default` shape (100 keys, 2 joiners, ~5 bases of
-/// each key per punctuation, around FinalizeDriver::kMinGroup) with window
+/// each key per punctuation, around the default columnar_min_run) with window
 /// [ts - pre, ts], incremental aggregation on and then off. The results
 /// of the two runs must be equal.
 std::pair<EngineRun, EngineRun> RunIncAndRecompute(Timestamp pre) {
@@ -621,6 +624,136 @@ TEST(BurstFinalizerTest, RingSmallerThanChunkFinalizesEveryPop) {
   BurstFinalizer burst(/*chunk=*/64, /*capacity=*/16);
   EXPECT_TRUE(burst.AfterPop(16));
   EXPECT_TRUE(burst.AfterPop(1));
+}
+
+TEST(PendingRunsTest, ReleasesReadyPrefixesPerKeyInTsOrder) {
+  // Random arrivals with disorder up to lateness and frequent ts ties,
+  // interleaved with takes under non-decreasing thresholds, against a
+  // multimap model (equal keys keep insertion order): the same bases
+  // come out, each key's in ts order with ties in arrival order, and the
+  // heap top is always the oldest pending ts.
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(0x9e4d + seed);
+    const uint64_t keys = 1 + rng() % 64;
+    const Timestamp lateness = static_cast<Timestamp>(rng() % 50);
+    const IntervalWindow window{static_cast<Timestamp>(rng() % 100),
+                                static_cast<Timestamp>(rng() % 20)};
+    PendingRuns runs;
+    std::map<Key, std::multimap<Timestamp, int64_t>> model;
+    Timestamp clock = 0;
+    Timestamp threshold = kMinTimestamp;
+    int64_t arrival = 0;
+    auto expect_oldest = [&] {
+      Timestamp oldest = kMaxTimestamp;
+      for (const auto& [key, bases] : model) {
+        if (!bases.empty()) oldest = std::min(oldest, bases.begin()->first);
+      }
+      EXPECT_EQ(runs.OldestTs(), oldest);
+      EXPECT_EQ(runs.empty(), oldest == kMaxTimestamp);
+    };
+    for (int step = 0; step < 2000; ++step) {
+      if (rng() % 8 != 0) {
+        clock += static_cast<Timestamp>(rng() % 3);
+        const Timestamp ts =
+            clock - static_cast<Timestamp>(rng() % (lateness + 1));
+        const Key key = rng() % keys;
+        runs.Push(Tuple{ts, key, 0.0}, ++arrival);
+        model[key].emplace(ts, arrival);
+      } else {
+        threshold = std::max(threshold,
+                             clock - static_cast<Timestamp>(rng() % 40));
+        std::map<Key, std::vector<int64_t>> taken;
+        runs.TakeReady(window, [&](Key) { return threshold; },
+                       [&](Key key, const PendingBase* bases, size_t n) {
+                         EXPECT_TRUE(taken[key].empty())
+                             << "key " << key << " taken twice in one drain";
+                         for (size_t i = 0; i < n; ++i) {
+                           EXPECT_EQ(bases[i].tuple.key, key);
+                           taken[key].push_back(bases[i].arrival_us);
+                         }
+                       });
+        for (auto& [key, bases] : model) {
+          std::vector<int64_t> want;
+          while (!bases.empty() &&
+                 window.end_for(bases.begin()->first) <= threshold) {
+            want.push_back(bases.begin()->second);
+            bases.erase(bases.begin());
+          }
+          ASSERT_EQ(taken[key], want) << "key " << key << " step " << step;
+        }
+      }
+      expect_oldest();
+    }
+    runs.TakeReady(window, [](Key) { return kMaxTimestamp; },
+                   [](Key, const PendingBase*, size_t) {});
+    EXPECT_TRUE(runs.empty());
+  }
+}
+
+TEST(PendingRunsTest, SnapshotKeepsEachSlotsMultiplicity) {
+  // Two arrivals of the same tuple are two bases, each owed a result;
+  // snapshot replay fans every base out to all queries, so the snapshot
+  // holds each tuple as often as the one slot holding it most.
+  struct Slot {
+    PendingRuns pending;
+  };
+  const Tuple b{10, 1, 2.5};
+  const Tuple c{20, 2, 1.0};
+  std::vector<Slot> slots(2);
+  slots[0].pending.Push(b, 1);
+  slots[0].pending.Push(c, 2);
+  slots[0].pending.Push(b, 3);
+  slots[1].pending.Push(c, 2);
+  slots[1].pending.Push(b, 1);
+  std::vector<StreamEvent> out;
+  AppendPendingBases(slots, &out);
+  std::vector<Tuple> got;
+  for (const StreamEvent& ev : out) {
+    EXPECT_EQ(ev.stream, StreamId::kBase);
+    got.push_back(ev.tuple);
+  }
+  EXPECT_EQ(got, (std::vector<Tuple>{b, b, c}));
+}
+
+TEST(EngineBehaviourTest, SmallDrainsGroupPerKey) {
+  // One watermark releases 12 bases, 4 for each of 3 keys. The columnar
+  // bar applies per key-group, so a drain this small still finalizes
+  // every key through the columnar kernels.
+  std::vector<StreamEvent> events;
+  StreamEvent ev;
+  ev.stream = StreamId::kProbe;
+  for (Timestamp ts = 0; ts < 100; ++ts) {
+    ev.tuple = Tuple{ts, static_cast<Key>(ts % 3), static_cast<double>(ts)};
+    events.push_back(ev);
+  }
+  ev.stream = StreamId::kBase;
+  for (Timestamp ts = 100; ts < 112; ++ts) {
+    ev.tuple = Tuple{ts, static_cast<Key>(ts % 3), 1.0};
+    events.push_back(ev);
+  }
+  const QuerySpec q =
+      TestQuery(EmitMode::kWatermark, AggKind::kSum, 0, {50, 0});
+  auto expected = ReferenceJoin(events, q);
+  SortResults(&expected);
+  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
+    SCOPED_TRACE(std::string(EngineKindName(kind)));
+    EngineOptions options;
+    options.num_joiners = 1;
+    CollectingSink sink;
+    auto engine = CreateEngine(kind, q, options, &sink);
+    ASSERT_TRUE(engine->Start().ok());
+    for (const StreamEvent& e : events) engine->Push(e, MonotonicNowUs());
+    engine->SignalWatermark(1000);
+    const EngineStats stats = engine->Finish();
+    EngineRun run;
+    for (const JoinResult& r : sink.TakeResults()) {
+      run.results.push_back({r.base, r.aggregate, r.match_count});
+    }
+    SortResults(&run.results);
+    ExpectResultsEqual(run.results, expected, "small drain");
+    EXPECT_EQ(stats.columnar_bases, 12u);
+  }
 }
 
 TEST(EngineBehaviourTest, EagerFinalizesPerBurst) {

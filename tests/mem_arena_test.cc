@@ -151,10 +151,11 @@ uint64_t ReadWord(const void* p) {
   return *static_cast<const volatile uint64_t*>(p);
 }
 
-TEST(NodeArenaDeathTest, FreedBlocksAndReturnedSlabsTripAsan) {
+TEST(NodeArenaDeathTest, FreedBlocksAndRecycledSlabsTripAsan) {
   // ASan cannot see the arena recycle memory, so ASan builds poison
-  // every byte the arena holds back: a read through a freed node (or a
-  // returned column slab) must report, not read stale data.
+  // every byte the arena holds back: a read through a freed node (or
+  // into a slab recycled to the empty pool) must report, not read stale
+  // data.
   if (!kAsanBuild) GTEST_SKIP() << "needs an AddressSanitizer build";
   NodeArena arena;
   void* keeper = arena.Allocate(64);  // keeps the slab serving its class
@@ -169,15 +170,12 @@ TEST(NodeArenaDeathTest, FreedBlocksAndReturnedSlabsTripAsan) {
   std::memset(again, 0, 64);
   EXPECT_EQ(ReadWord(again), 0u);
 
-  // A loaned slab is writable whole; once returned, its data is off
-  // limits until the next loan or size class takes it.
-  void* slab = arena.AcquireSlab();
-  std::memset(slab, 0x11, kSlab);
-  arena.ReleaseSlab(slab);
-  EXPECT_DEATH(ReadWord(static_cast<char*>(slab) + kSlab / 2),
-               "use-after-poison");
+  // Freeing the slab's last blocks recycles it whole; its data stays off
+  // limits until a size class takes it again.
   arena.Deallocate(again, 64);
   arena.Deallocate(keeper, 64);
+  ASSERT_EQ(arena.EmptySlabCount(), 1u);
+  EXPECT_DEATH(ReadWord(static_cast<char*>(keeper) + 8), "use-after-poison");
 }
 
 }  // namespace
