@@ -74,9 +74,9 @@ void EmitJson(const std::string& workload, uint32_t joiners,
       "\"cross_replications\":%llu,\"cross_dispatches\":%llu,"
       "\"rebalances\":%llu}\n",
       workload.c_str(), r.mode, joiners, r.run.throughput_tps,
-      st.numa_active ? "true" : "false", st.numa_nodes,
-      static_cast<unsigned long long>(st.numa_cross_replications),
-      static_cast<unsigned long long>(st.numa_cross_dispatches),
+      st.numa.active ? "true" : "false", st.numa.nodes,
+      static_cast<unsigned long long>(st.numa.cross_replications),
+      static_cast<unsigned long long>(st.numa.cross_dispatches),
       static_cast<unsigned long long>(st.rebalances));
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "metrics/prometheus.h"
 #include "net/http.h"
 #include "net/socket.h"
 
@@ -877,10 +876,11 @@ void OijRouter::ProcessAdminInput(ClientConn* conn) {
                                    "no eligible backends\n");
     }
   } else if (request.path == "/statz") {
-    response = BuildHttpResponse(200, "application/json", RenderStatz());
+    response = BuildHttpResponse(200, "application/json",
+                                 RenderStatsJson(AdminStats().stats()));
   } else if (request.path == "/metrics") {
     response = BuildHttpResponse(200, "text/plain; version=0.0.4",
-                                 RenderMetrics());
+                                 RenderStatsPrometheus(AdminStats().stats()));
   } else {
     response = BuildHttpResponse(404, "text/plain; charset=utf-8",
                                  "not found\n");
@@ -890,149 +890,142 @@ void OijRouter::ProcessAdminInput(ClientConn* conn) {
   FlushClient(conn);
 }
 
-std::string OijRouter::RenderStatz() {
+StatList OijRouter::AdminStats() const {
   const RouterCounters c = CountersSnapshot();
-  std::string j = "{";
-  auto num = [&j](const char* key, int64_t value, bool comma = true) {
-    j += "\"";
-    j += key;
-    j += "\":";
-    j += std::to_string(value);
-    if (comma) j += ",";
-  };
-  num("clients_accepted", static_cast<int64_t>(c.clients_accepted));
-  num("clients_open", static_cast<int64_t>(c.clients_open));
-  num("clients_stalled_evicted",
-      static_cast<int64_t>(c.clients_stalled_evicted));
-  num("subscribers", static_cast<int64_t>(c.subscribers));
-  num("subscribers_evicted", static_cast<int64_t>(c.subscribers_evicted));
-  num("tuples_in", static_cast<int64_t>(c.tuples_in));
-  num("tuples_routed", static_cast<int64_t>(c.tuples_routed));
-  num("tuples_queued_sticky",
-      static_cast<int64_t>(c.tuples_queued_sticky));
-  num("tuples_failed_over", static_cast<int64_t>(c.tuples_failed_over));
-  num("tuples_dropped", static_cast<int64_t>(c.tuples_dropped));
-  num("watermarks_in", static_cast<int64_t>(c.watermarks_in));
-  num("watermarks_broadcast",
-      static_cast<int64_t>(c.watermarks_broadcast));
-  num("watermarks_ignored", static_cast<int64_t>(c.watermarks_ignored));
-  num("acks_received", static_cast<int64_t>(c.acks_received));
-  num("results_fanned", static_cast<int64_t>(c.results_fanned));
-  num("backend_connects", static_cast<int64_t>(c.backend_connects));
-  num("backend_disconnects",
-      static_cast<int64_t>(c.backend_disconnects));
-  num("backend_retries", static_cast<int64_t>(c.backend_retries));
-  num("replayed_tuples", static_cast<int64_t>(c.replayed_tuples));
-  num("replay_dropped_tuples",
-      static_cast<int64_t>(c.replay_dropped_tuples));
-  num("hellos_rejected", static_cast<int64_t>(c.hellos_rejected));
-  num("cluster_watermark", c.cluster_watermark);
-  num("min_backend_acked", c.min_backend_acked);
-  j += "\"run_finished\":";
-  j += run_finished_.load(std::memory_order_relaxed) ? "true" : "false";
-  j += ",\"backends\":[";
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    const Backend& b = *backends_[i];
-    if (i > 0) j += ",";
-    j += "{\"id\":" + std::to_string(b.id);
-    j += ",\"state\":\"";
-    j += BackendStateName(static_cast<uint8_t>(b.state));
-    j += "\",\"healthy\":";
-    j += b.health_ok ? "true" : "false";
-    j += ",\"durable_exact\":";
-    j += b.durable_exact ? "true" : "false";
-    j += ",\"acked_watermark\":" + std::to_string(b.acked);
-    j += ",\"replay_buffered_tuples\":" +
-         std::to_string(b.replay.buffered_tuples());
-    j += ",\"replay_dropped_tuples\":" +
-         std::to_string(b.replay.dropped_tuples());
-    j += ",\"tuples_sent\":" + std::to_string(b.tuples_sent);
-    j += ",\"watermarks_sent\":" + std::to_string(b.watermarks_sent);
-    j += ",\"acks\":" + std::to_string(b.acks);
-    j += ",\"connects\":" + std::to_string(b.connects);
-    j += ",\"disconnects\":" + std::to_string(b.disconnects);
-    j += ",\"replays\":" + std::to_string(b.replays);
-    j += "}";
-  }
-  j += "]}";
-  j += "\n";
-  return j;
-}
-
-std::string OijRouter::RenderMetrics() {
-  const RouterCounters c = CountersSnapshot();
-  PrometheusWriter w;
-  w.Counter("oij_router_tuples_in_total", "Tuple frames from clients",
-            static_cast<double>(c.tuples_in));
-  w.Counter("oij_router_tuples_routed_total",
-            "Tuples forwarded to a backend",
-            static_cast<double>(c.tuples_routed));
-  w.Counter("oij_router_tuples_queued_sticky_total",
-            "Tuples buffered for a down sticky owner",
-            static_cast<double>(c.tuples_queued_sticky));
-  w.Counter("oij_router_tuples_failed_over_total",
-            "Tuples rerouted off their ring owner",
-            static_cast<double>(c.tuples_failed_over));
-  w.Counter("oij_router_tuples_dropped_total",
-            "Tuples with no eligible backend",
-            static_cast<double>(c.tuples_dropped));
-  w.Counter("oij_router_watermarks_broadcast_total",
-            "Watermarks broadcast to backends",
-            static_cast<double>(c.watermarks_broadcast));
-  w.Counter("oij_router_acks_total", "Watermark acks from backends",
-            static_cast<double>(c.acks_received));
-  w.Counter("oij_router_results_fanned_total",
-            "Result frames fanned to subscribers",
-            static_cast<double>(c.results_fanned));
-  w.Counter("oij_router_backend_retries_total",
-            "Backend reconnect attempts scheduled",
-            static_cast<double>(c.backend_retries));
-  w.Counter("oij_router_replayed_tuples_total",
-            "Tuples resent to recovered backends",
-            static_cast<double>(c.replayed_tuples));
-  w.Counter("oij_router_replay_dropped_tuples_total",
-            "Replay-buffer tuples lost to overflow or failover",
-            static_cast<double>(c.replay_dropped_tuples));
-  w.Counter("oij_router_clients_stalled_evicted_total",
+  StatList l;
+  l.Counter("clients_accepted", "oij_router_clients_accepted_total",
+            "Client connections accepted", c.clients_accepted);
+  l.Gauge("clients_open", "oij_router_clients_open",
+          "Open client data connections", c.clients_open);
+  l.Counter("clients_stalled_evicted",
+            "oij_router_clients_stalled_evicted_total",
             "Clients dropped by the slow-loris sweep",
-            static_cast<double>(c.clients_stalled_evicted));
-  w.Counter("oij_router_subscribers_evicted_total",
+            c.clients_stalled_evicted);
+  l.Gauge("subscribers", "oij_router_subscribers",
+          "Clients subscribed to results", c.subscribers);
+  l.Counter("subscribers_evicted", "oij_router_subscribers_evicted_total",
             "Subscribers dropped for egress backlog overflow",
-            static_cast<double>(c.subscribers_evicted));
-  w.Gauge("oij_router_cluster_watermark",
+            c.subscribers_evicted);
+  l.Counter("tuples_in", "oij_router_tuples_in_total",
+            "Tuple frames from clients", c.tuples_in);
+  l.Counter("tuples_routed", "oij_router_tuples_routed_total",
+            "Tuples forwarded to a backend", c.tuples_routed);
+  l.Counter("tuples_queued_sticky", "oij_router_tuples_queued_sticky_total",
+            "Tuples buffered for a down sticky owner",
+            c.tuples_queued_sticky);
+  l.Counter("tuples_failed_over", "oij_router_tuples_failed_over_total",
+            "Tuples rerouted off their ring owner", c.tuples_failed_over);
+  l.Counter("tuples_dropped", "oij_router_tuples_dropped_total",
+            "Tuples with no eligible backend", c.tuples_dropped);
+  l.Counter("watermarks_in", "oij_router_watermarks_in_total",
+            "Watermark frames from clients", c.watermarks_in);
+  l.Counter("watermarks_broadcast", "oij_router_watermarks_broadcast_total",
+            "Watermarks broadcast to backends", c.watermarks_broadcast);
+  l.Counter("watermarks_ignored", "oij_router_watermarks_ignored_total",
+            "Non-increasing watermarks not broadcast", c.watermarks_ignored);
+  l.Counter("acks_received", "oij_router_acks_total",
+            "Watermark acks from backends", c.acks_received);
+  l.Counter("results_fanned", "oij_router_results_fanned_total",
+            "Result frames fanned to subscribers", c.results_fanned);
+  l.Counter("backend_connects", "oij_router_backend_connects_total",
+            "Backend connections that completed the handshake",
+            c.backend_connects);
+  l.Counter("backend_disconnects", "oij_router_backend_disconnects_total",
+            "Backend connections lost", c.backend_disconnects);
+  l.Counter("backend_retries", "oij_router_backend_retries_total",
+            "Backend reconnect attempts scheduled", c.backend_retries);
+  l.Counter("replayed_tuples", "oij_router_replayed_tuples_total",
+            "Tuples resent to recovered backends", c.replayed_tuples);
+  l.Counter("replay_dropped_tuples", "oij_router_replay_dropped_tuples_total",
+            "Replay-buffer tuples lost to overflow or failover",
+            c.replay_dropped_tuples);
+  l.Counter("hellos_rejected", "oij_router_hellos_rejected_total",
+            "Handshake frames refused (magic/version/order)",
+            c.hellos_rejected);
+  l.Counter("admin_requests", "oij_router_admin_requests_total",
+            "Admin HTTP requests served", c.admin_requests);
+  l.Gauge("cluster_watermark", "oij_router_cluster_watermark",
           "Min-of-backends cluster watermark",
           static_cast<double>(c.cluster_watermark));
-  w.Gauge("oij_router_clients_open", "Open client data connections",
-          static_cast<double>(c.clients_open));
-  for (const auto& backend : backends_) {
-    PrometheusLabels labels{{"backend", std::to_string(backend->id)}};
-    const HealthChecker::TargetStats hs = health_->StatsOf(backend->id);
-    w.Gauge("oij_router_backend_healthy",
-            "1 when the backend passes health checks", backend->health_ok,
-            labels);
-    w.Gauge("oij_router_backend_active",
-            "1 when the backend connection is active",
-            backend->state == BackendState::kActive ? 1.0 : 0.0, labels);
-    w.Gauge("oij_router_backend_acked_watermark",
-            "Latest durability-acked watermark",
-            static_cast<double>(backend->acked), labels);
-    w.Gauge("oij_router_backend_replay_buffered_tuples",
-            "Un-acked tuples held for replay",
-            static_cast<double>(backend->replay.buffered_tuples()), labels);
-    w.Counter("oij_router_backend_health_probes_total",
-              "Active health probes", static_cast<double>(hs.probes),
-              labels);
-    w.Counter("oij_router_backend_health_failures_total",
-              "Failed health probes (active + passive)",
-              static_cast<double>(hs.failures), labels);
-    w.Counter("oij_router_backend_ejections_total",
-              "Outlier ejections", static_cast<double>(hs.ejections),
-              labels);
-    w.Counter("oij_router_backend_readmissions_total",
-              "Re-admissions after recovery",
-              static_cast<double>(hs.readmissions), labels);
-  }
-  return w.Take();
+  l.Gauge("min_backend_acked", "oij_router_min_backend_acked",
+          "Lowest durability-acked watermark over the backends",
+          static_cast<double>(c.min_backend_acked));
+  l.Flag("run_finished", "oij_router_run_finished",
+         "1 once the cluster run has been finalized",
+         run_finished_.load(std::memory_order_relaxed));
+
+  using Row = std::unique_ptr<Backend>;
+  std::vector<std::string> ids;
+  for (const Row& b : backends_) ids.push_back(std::to_string(b->id));
+  auto column = [&](StatType type, const char* path, const char* family,
+                    const char* help, auto get) {
+    l.Column(type, path, family, help, "backend", backends_, ids, get);
+  };
+  column(StatType::kText, "backends[].id", "", "",
+         [](const Row& b) { return std::to_string(b->id); });
+  column(StatType::kText, "backends[].state", "", "", [](const Row& b) {
+    return BackendStateName(static_cast<uint8_t>(b->state));
+  });
+  auto health = [this](const Row& b) { return health_->StatsOf(b->id); };
+  column(StatType::kFlag, "backends[].healthy", "oij_router_backend_healthy",
+         "1 when the backend passes health checks",
+         [](const Row& b) { return b->health_ok; });
+  column(StatType::kFlag, "backends[].active", "oij_router_backend_active",
+         "1 when the backend connection is active",
+         [](const Row& b) { return b->state == BackendState::kActive; });
+  column(StatType::kFlag, "backends[].durable_exact",
+         "oij_router_backend_durable_exact",
+         "1 when the backend recovers exactly, so its keys stick to it",
+         [](const Row& b) { return b->durable_exact; });
+  column(StatType::kGauge, "backends[].acked_watermark",
+         "oij_router_backend_acked_watermark",
+         "Latest durability-acked watermark",
+         [](const Row& b) { return b->acked; });
+  column(StatType::kGauge, "backends[].replay_buffered_tuples",
+         "oij_router_backend_replay_buffered_tuples",
+         "Un-acked tuples held for replay",
+         [](const Row& b) { return b->replay.buffered_tuples(); });
+  column(StatType::kCounter, "backends[].replay_dropped_tuples",
+         "oij_router_backend_replay_dropped_tuples_total",
+         "Replay-buffer tuples lost to overflow or failover",
+         [](const Row& b) { return b->replay.dropped_tuples(); });
+  column(StatType::kCounter, "backends[].tuples_sent",
+         "oij_router_backend_tuples_sent_total", "Tuples sent to the backend",
+         [](const Row& b) { return b->tuples_sent; });
+  column(StatType::kCounter, "backends[].watermarks_sent",
+         "oij_router_backend_watermarks_sent_total",
+         "Watermarks sent to the backend",
+         [](const Row& b) { return b->watermarks_sent; });
+  column(StatType::kCounter, "backends[].acks",
+         "oij_router_backend_acks_total", "Watermark acks from the backend",
+         [](const Row& b) { return b->acks; });
+  column(StatType::kCounter, "backends[].connects",
+         "oij_router_backend_connects_by_backend_total",
+         "Handshakes the backend completed",
+         [](const Row& b) { return b->connects; });
+  column(StatType::kCounter, "backends[].disconnects",
+         "oij_router_backend_disconnects_by_backend_total",
+         "Connections to the backend lost",
+         [](const Row& b) { return b->disconnects; });
+  column(StatType::kCounter, "backends[].replays",
+         "oij_router_backend_replays_total",
+         "Replays of the un-acked suffix to the backend",
+         [](const Row& b) { return b->replays; });
+  column(StatType::kCounter, "backends[].health_probes",
+         "oij_router_backend_health_probes_total", "Active health probes",
+         [&](const Row& b) { return health(b).probes; });
+  column(StatType::kCounter, "backends[].health_failures",
+         "oij_router_backend_health_failures_total",
+         "Failed health probes (active + passive)",
+         [&](const Row& b) { return health(b).failures; });
+  column(StatType::kCounter, "backends[].ejections",
+         "oij_router_backend_ejections_total", "Outlier ejections",
+         [&](const Row& b) { return health(b).ejections; });
+  column(StatType::kCounter, "backends[].readmissions",
+         "oij_router_backend_readmissions_total",
+         "Re-admissions after recovery",
+         [&](const Row& b) { return health(b).readmissions; });
+  return l;
 }
 
 }  // namespace oij

@@ -16,6 +16,7 @@
 #include "cluster/health_checker.h"
 #include "cluster/replay_buffer.h"
 #include "common/status.h"
+#include "metrics/stats.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/timer_queue.h"
@@ -144,6 +145,11 @@ class OijRouter {
 
   RouterCounters CountersSnapshot() const;
 
+  /// Every stat the admin pages render, in /statz order: the one
+  /// declaration behind both /metrics and /statz. It reads loop-thread
+  /// state, so call it on the loop thread or after Shutdown().
+  StatList AdminStats() const;
+
  private:
   struct ClientConn {
     explicit ClientConn(int fd) : tcp(fd) {}
@@ -241,9 +247,6 @@ class OijRouter {
   void MaybeFinish();
   void BroadcastFinish();
   void CompleteFinish();
-
-  std::string RenderStatz();
-  std::string RenderMetrics();
 
   RouterConfig config_;
   EventLoop loop_;

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/engine_gauges.h"
 #include "common/status.h"
 
 namespace oij {
@@ -20,6 +21,13 @@ namespace oij {
 struct alignas(64) PaddedCounter {
   std::atomic<uint64_t> value{0};
 };
+
+/// Adds `n` to a counter only one thread writes and others read: a
+/// relaxed load and store, no read-modify-write.
+inline void SingleWriterAdd(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
 
 struct WatchdogConfig {
   /// Sampling period.
@@ -47,25 +55,14 @@ struct WatchdogSample {
   uint64_t pushed = 0;               ///< router-side tuples accepted
   uint64_t watermarks = 0;           ///< watermarks actually signaled
 
-  /// Allocator gauges, summed across joiner arenas (zero for engines
-  /// without node arenas).
-  uint64_t arena_bytes = 0;          ///< slab bytes reserved by the arenas
-  uint64_t arena_live_nodes = 0;     ///< nodes resident in the arenas
-  uint64_t ebr_retired_backlog = 0;  ///< nodes retired, awaiting epoch drain
-  uint64_t arena_slab_recycles = 0;  ///< fully-dead slabs returned to pool
+  /// Tuples lost to backpressure (`overload_shed` is the kShedOldest
+  /// share) and control events lost to the stop token or a deadline.
+  uint64_t overload_dropped = 0;
+  uint64_t overload_shed = 0;
+  uint64_t control_lost = 0;
 
-  /// NUMA placement gauges (src/topo/; all empty/zero when placement is
-  /// inactive). Per-node arrays are indexed by node ordinal and split
-  /// the arena gauges above by the owning joiner's node — grouped from
-  /// per-arena counters, never by re-walking slabs.
-  bool numa_active = false;
-  uint32_t numa_nodes = 1;
-  std::vector<int> numa_pin_cpus;          ///< per joiner; -1 = unpinned
-  std::vector<uint32_t> numa_joiner_node;  ///< per joiner: node ordinal
-  std::vector<uint64_t> per_node_arena_bytes;
-  std::vector<uint64_t> per_node_arena_live_nodes;
-  uint64_t numa_cross_replications = 0;
-  uint64_t numa_cross_dispatches = 0;
+  MemStats mem;
+  NumaStats numa;
 };
 
 /// Monitor thread that detects stalled joiners and frozen watermarks.

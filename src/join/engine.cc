@@ -112,15 +112,13 @@ ParallelEngineBase::ParallelEngineBase(const QuerySpec& spec,
         std::make_unique<SpscQueue<Event>>(options_.queue_capacity));
   }
   spill_.resize(options_.num_joiners);
-  dropped_per_joiner_.assign(options_.num_joiners, 0);
-  control_lost_per_joiner_.assign(options_.num_joiners, 0);
+  control_lost_ =
+      std::make_unique<std::atomic<uint64_t>[]>(options_.num_joiners);
 
   // Staging deeper than the ring only adds latency, never throughput.
   batch_size_ = std::min(options_.batch_size, options_.queue_capacity);
   staged_.resize(options_.num_joiners);
-  if (batch_size_ > 1) {
-    for (auto& stage : staged_) stage.reserve(batch_size_);
-  }
+  for (auto& stage : staged_) stage.reserve(batch_size_);
 }
 
 ParallelEngineBase::~ParallelEngineBase() {
@@ -206,7 +204,7 @@ void ParallelEngineBase::Push(const StreamEvent& event, int64_t arrival_us) {
   pushed_.fetch_add(1, std::memory_order_relaxed);
   if (stop_requested()) {
     // Aborted run: everything after the abort is shed at the door.
-    ++overload_dropped_;
+    SingleWriterAdd(overload_dropped_);
     return;
   }
   if (wal_ != nullptr && !replaying_.load(std::memory_order_relaxed)) {
@@ -302,7 +300,7 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
       // A watermark lost here (stop token raised while the ring stayed
       // full) would silently freeze this joiner's eviction and
       // finalization — account it so the run is marked non-pristine.
-      ++control_lost_per_joiner_[j];
+      SingleWriterAdd(control_lost_[j]);
     }
   }
 
@@ -319,7 +317,7 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
       snap.seq = seq_++;
       for (uint32_t j = 0; j < options_.num_joiners; ++j) {
         if (!EnqueueControl(j, snap, -1)) {
-          ++control_lost_per_joiner_[j];
+          SingleWriterAdd(control_lost_[j]);
           wal_->MarkSnapshotFailed(epoch);
         }
       }
@@ -390,7 +388,7 @@ Status ParallelEngineBase::ApplyCatalogAdd(std::string_view id,
   ev.query = &q;
   ev.seq = seq_++;
   for (uint32_t j = 0; j < options_.num_joiners; ++j) {
-    if (!EnqueueControl(j, ev, -1)) ++control_lost_per_joiner_[j];
+    if (!EnqueueControl(j, ev, -1)) SingleWriterAdd(control_lost_[j]);
   }
   return Status::OK();
 }
@@ -431,7 +429,7 @@ void ParallelEngineBase::ApplyCatalogRemove(QueryRuntime& query) {
   ev.query = &query;
   ev.seq = seq_++;
   for (uint32_t j = 0; j < options_.num_joiners; ++j) {
-    if (!EnqueueControl(j, ev, -1)) ++control_lost_per_joiner_[j];
+    if (!EnqueueControl(j, ev, -1)) SingleWriterAdd(control_lost_[j]);
   }
 }
 
@@ -490,41 +488,15 @@ std::vector<QueryStatsRow> ParallelEngineBase::QuerySnapshot() const {
 void ParallelEngineBase::EnqueueTo(uint32_t joiner, const Event& event) {
   if (event.kind != Event::Kind::kTuple) {
     if (!EnqueueControl(joiner, event, -1)) {
-      ++control_lost_per_joiner_[joiner];
+      SingleWriterAdd(control_lost_[joiner]);
     }
     return;
   }
-  if (batch_size_ > 1) {
-    auto& stage = staged_[joiner];
-    if (staged_total_ == 0) earliest_staged_us_ = event.arrival_us;
-    stage.push_back(event);
-    ++staged_total_;
-    if (stage.size() >= batch_size_) FlushStaged(joiner, /*deadline_ns=*/-1);
-    return;
-  }
-  switch (options_.overload_policy) {
-    case OverloadPolicy::kBlock: {
-      const PushResult r =
-          queues_[joiner]->PushBounded(event, /*deadline_ns=*/-1, &stop_);
-      if (r != PushResult::kOk) {
-        ++dropped_per_joiner_[joiner];
-        ++overload_dropped_;
-      }
-      break;
-    }
-    case OverloadPolicy::kDropNewest: {
-      const PushResult r =
-          queues_[joiner]->PushBounded(event, /*deadline_ns=*/0, &stop_);
-      if (r != PushResult::kOk) {
-        ++dropped_per_joiner_[joiner];
-        ++overload_dropped_;
-      }
-      break;
-    }
-    case OverloadPolicy::kShedOldest:
-      EnqueueShedding(joiner, event);
-      break;
-  }
+  auto& stage = staged_[joiner];
+  if (staged_total_ == 0) earliest_staged_us_ = event.arrival_us;
+  stage.push_back(event);
+  ++staged_total_;
+  if (stage.size() >= batch_size_) FlushStaged(joiner, /*deadline_ns=*/-1);
 }
 
 void ParallelEngineBase::FlushStaged(uint32_t joiner, int64_t deadline_ns) {
@@ -550,69 +522,40 @@ void ParallelEngineBase::FlushAllStaged(int64_t deadline_ns) {
 void ParallelEngineBase::PushTupleBatch(uint32_t joiner, const Event* events,
                                         size_t n, int64_t deadline_ns) {
   SpscQueue<Event>& queue = *queues_[joiner];
-  switch (options_.overload_policy) {
-    case OverloadPolicy::kBlock: {
-      // Lossless backpressure: wait (stop-token aware) for the consumer.
-      // `deadline_ns` is -1 except when Finish flushes with its bound.
-      size_t i = 0;
-      while (i < n) {
-        i += queue.PushBatch(events + i, n - i);
-        if (i >= n) break;
-        if (stop_.load(std::memory_order_acquire) ||
-            (deadline_ns >= 0 && MonotonicNowNs() >= deadline_ns)) {
-          dropped_per_joiner_[joiner] += n - i;
-          overload_dropped_ += n - i;
-          return;
-        }
-        std::this_thread::yield();
+  if (options_.overload_policy != OverloadPolicy::kShedOldest) {
+    // kBlock waits (stop-token aware) for the consumer: lossless
+    // backpressure. kDropNewest drops at once. Finish bounds either wait
+    // with its deadline; `deadline_ns` is -1 otherwise.
+    const bool block = options_.overload_policy == OverloadPolicy::kBlock;
+    size_t i = 0;
+    while (i < n) {
+      i += queue.PushBatch(events + i, n - i);
+      if (i >= n) return;
+      const bool waited_out = deadline_ns >= 0
+                                  ? MonotonicNowNs() >= deadline_ns
+                                  : !block;
+      if (stop_.load(std::memory_order_acquire) || waited_out) {
+        SingleWriterAdd(overload_dropped_, n - i);
+        return;
       }
-      break;
+      std::this_thread::yield();
     }
-    case OverloadPolicy::kDropNewest: {
-      // Drops at once, unless Finish bounds the wait with its deadline.
-      size_t i = 0;
-      while (i < n) {
-        i += queue.PushBatch(events + i, n - i);
-        if (i >= n) break;
-        if (stop_.load(std::memory_order_acquire) || deadline_ns <= 0 ||
-            MonotonicNowNs() >= deadline_ns) {
-          dropped_per_joiner_[joiner] += n - i;
-          overload_dropped_ += n - i;
-          return;
-        }
-        std::this_thread::yield();
-      }
-      break;
-    }
-    case OverloadPolicy::kShedOldest: {
-      // FIFO with the spill: ring-push directly only while the spill is
-      // empty, then stage the remainder behind it and shed the oldest.
-      auto& spill = spill_[joiner];
-      size_t i = 0;
-      if (spill.empty()) {
-        while (i < n) {
-          const size_t pushed = queue.PushBatch(events + i, n - i);
-          if (pushed == 0) break;
-          i += pushed;
-        }
-      }
-      for (; i < n; ++i) spill.push_back(events[i]);
-      while (!spill.empty() && queue.TryPush(spill.front())) {
-        spill.pop_front();
-      }
-      ShedSpillOverflow(joiner);
-      break;
+    return;
+  }
+  // kShedOldest, FIFO with the spill: ring-push directly only while the
+  // spill is empty, then stage the remainder behind it and shed the
+  // oldest.
+  auto& spill = spill_[joiner];
+  size_t i = 0;
+  if (spill.empty()) {
+    while (i < n) {
+      const size_t pushed = queue.PushBatch(events + i, n - i);
+      if (pushed == 0) break;
+      i += pushed;
     }
   }
-}
-
-void ParallelEngineBase::EnqueueShedding(uint32_t joiner, const Event& event) {
-  auto& spill = spill_[joiner];
-  if (spill.empty() && queues_[joiner]->TryPush(event)) return;
-
-  spill.push_back(event);
-  // Opportunistic drain: move whatever fits right now.
-  while (!spill.empty() && queues_[joiner]->TryPush(spill.front())) {
+  for (; i < n; ++i) spill.push_back(events[i]);
+  while (!spill.empty() && queue.TryPush(spill.front())) {
     spill.pop_front();
   }
   ShedSpillOverflow(joiner);
@@ -631,9 +574,8 @@ void ParallelEngineBase::ShedSpillOverflow(uint32_t joiner) {
     });
     if (it == spill.end()) break;
     spill.erase(it);
-    ++overload_shed_;
-    ++dropped_per_joiner_[joiner];
-    ++overload_dropped_;
+    SingleWriterAdd(overload_shed_);
+    SingleWriterAdd(overload_dropped_);
   }
 }
 
@@ -656,7 +598,8 @@ bool ParallelEngineBase::EnqueueControl(uint32_t joiner, const Event& event,
   if (options_.overload_policy == OverloadPolicy::kShedOldest &&
       !spill_[joiner].empty()) {
     // Keep FIFO order with staged tuples: route the control event through
-    // the spill too. It is never shed (EnqueueShedding skips non-tuples).
+    // the spill too. It is never shed (ShedSpillOverflow skips
+    // non-tuples).
     spill_[joiner].push_back(event);
     return DrainSpill(joiner, deadline_ns);
   }
@@ -679,7 +622,7 @@ EngineStats ParallelEngineBase::Finish() {
   for (uint32_t j = 0; j < options_.num_joiners; ++j) {
     if (!EnqueueControl(j, flush, deadline)) {
       flush_ok = false;
-      ++control_lost_per_joiner_[j];
+      SingleWriterAdd(control_lost_[j]);
     }
   }
   if (!flush_ok) {
@@ -715,11 +658,13 @@ EngineStats ParallelEngineBase::Finish() {
   }
 
   stats.input_tuples = pushed_.load(std::memory_order_relaxed);
-  stats.overload_dropped = overload_dropped_;
-  stats.overload_shed = overload_shed_;
-  stats.per_joiner_overload_dropped = dropped_per_joiner_;
-  stats.per_joiner_control_lost = control_lost_per_joiner_;
-  for (uint64_t lost : control_lost_per_joiner_) stats.control_lost += lost;
+  stats.overload_dropped = overload_dropped_.load(std::memory_order_relaxed);
+  stats.overload_shed = overload_shed_.load(std::memory_order_relaxed);
+  for (uint32_t j = 0; j < options_.num_joiners; ++j) {
+    stats.per_joiner_control_lost.push_back(
+        control_lost_[j].load(std::memory_order_relaxed));
+    stats.control_lost += stats.per_joiner_control_lost.back();
+  }
   stats.late = multi_mode_ ? queries_[0].late : late_gate_.stats();
   stats.warnings = watchdog_.TakeWarnings();
   stats.warnings.insert(stats.warnings.end(), wal_warnings_.begin(),
@@ -734,12 +679,7 @@ EngineStats ParallelEngineBase::Finish() {
     std::lock_guard<std::mutex> lock(health_mu_);
     stats.health = health_;
   }
-  stats.numa_active = placement_.active;
-  stats.numa_nodes = placement_.num_nodes;
-  if (placement_.active) {
-    stats.numa_pin_cpus = placement_.joiner_cpu;
-    stats.numa_joiner_node = placement_.joiner_node;
-  }
+  FillGauges(&stats.mem, &stats.numa);
   CollectStats(&stats);
   for (int64_t b : busy_ns_) stats.breakdown.busy_ns += b;
   if (options_.collect_cpu_util) {
@@ -885,14 +825,35 @@ WatchdogSample ParallelEngineBase::SampleProgress() const {
   }
   sample.pushed = pushed_.load(std::memory_order_relaxed);
   sample.watermarks = watermarks_signaled_.load(std::memory_order_relaxed);
-  sample.numa_active = placement_.active;
-  sample.numa_nodes = placement_.num_nodes;
-  if (placement_.active) {
-    sample.numa_pin_cpus = placement_.joiner_cpu;
-    sample.numa_joiner_node = placement_.joiner_node;
+  sample.overload_dropped = overload_dropped_.load(std::memory_order_relaxed);
+  sample.overload_shed = overload_shed_.load(std::memory_order_relaxed);
+  for (uint32_t j = 0; j < n; ++j) {
+    sample.control_lost += control_lost_[j].load(std::memory_order_relaxed);
   }
-  SampleMem(&sample);
+  FillGauges(&sample.mem, &sample.numa);
   return sample;
+}
+
+void ParallelEngineBase::FillGauges(MemStats* mem, NumaStats* numa) const {
+  numa->active = placement_.active;
+  numa->nodes = placement_.num_nodes;
+  if (placement_.active) {
+    numa->pin_cpus = placement_.joiner_cpu;
+    numa->joiner_node = placement_.joiner_node;
+  }
+  SampleGauges(mem, numa);
+}
+
+Timestamp ParallelEngineBase::CompleteThrough(Timestamp last_wm,
+                                              Timestamp max_seen) const {
+  if (spec_.emit_mode == EmitMode::kWatermark) {
+    if (last_wm == kMinTimestamp || last_wm == kMaxTimestamp) return last_wm;
+    return last_wm - 1;
+  }
+  if (last_wm == kMinTimestamp) return max_seen;
+  return std::max(max_seen, last_wm == kMaxTimestamp
+                                ? kMaxTimestamp
+                                : last_wm + spec_.lateness_us);
 }
 
 void ParallelEngineBase::StartWatchdog() {

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
+#include "common/engine_gauges.h"
 #include "common/fault_injector.h"
 #include "common/spsc_queue.h"
 #include "common/status.h"
@@ -256,20 +258,6 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// Allocator observability (mem/node_arena.h), summed across the engine's
-/// joiner arenas. `pooled` says the engine owns node arenas (Scale-OIJ);
-/// everything is zero for engines without them.
-struct MemStats {
-  bool pooled = false;
-  uint64_t arena_reserved_bytes = 0;
-  uint64_t arena_live_nodes = 0;
-  uint64_t arena_allocations = 0;
-  uint64_t arena_slab_recycles = 0;
-  uint64_t arena_oversize_allocs = 0;
-  /// Nodes retired to the EpochManager not yet drained at collection.
-  uint64_t ebr_retired_backlog = 0;
-};
-
 /// Everything a run reports; merged across joiners at Finish().
 struct EngineStats {
   uint64_t input_tuples = 0;
@@ -307,7 +295,6 @@ struct EngineStats {
   /// `overload_shed` is the kShedOldest share).
   uint64_t overload_dropped = 0;
   uint64_t overload_shed = 0;
-  std::vector<uint64_t> per_joiner_overload_dropped;
 
   /// Control events (watermark/flush punctuations) that could not be
   /// delivered to a joiner because the stop token was raised or a
@@ -320,25 +307,10 @@ struct EngineStats {
   /// Lateness-bound violations and their disposition.
   LateStats late;
 
-  /// Allocator observability (engines with node arenas).
+  /// Allocator and NUMA gauges at Finish(): the same hook fills the live
+  /// WatchdogSample.
   MemStats mem;
-
-  /// NUMA placement observability (src/topo/, DESIGN.md §5i).
-  /// `numa_active` is true when a placement plan pinned this run;
-  /// the per-node arrays are indexed by node ordinal (empty for
-  /// engines without arenas). The cross counters tally scheduler
-  /// decisions that crossed a socket: partition replications the
-  /// rebalancer accepted onto a remote node after same-node headroom
-  /// ran out, and round-robin tuple dispatches that left the team
-  /// leader's node.
-  bool numa_active = false;
-  uint32_t numa_nodes = 1;
-  std::vector<int> numa_pin_cpus;          ///< per joiner; -1 = unpinned
-  std::vector<uint32_t> numa_joiner_node;  ///< per joiner: node ordinal
-  std::vector<uint64_t> numa_node_arena_bytes;
-  std::vector<uint64_t> numa_node_arena_live_nodes;
-  uint64_t numa_cross_replications = 0;
-  uint64_t numa_cross_dispatches = 0;
+  NumaStats numa;
 
   /// Durability counters (all-zero with durability off).
   WalStats wal;
@@ -586,15 +558,27 @@ class ParallelEngineBase : public JoinEngine {
     return false;
   }
 
-  /// Fills the allocator gauges of a live progress sample. Called from
-  /// SampleProgress() on watchdog/serving threads, so implementations
-  /// must only read thread-safe counters (NodeArena::snapshot,
-  /// EpochManager::PendingCountAll). Default: no arenas, leave zeros.
-  virtual void SampleMem(WatchdogSample* /*sample*/) const {}
+  /// Adds the engine's arena gauges and cross-socket counters to `mem`
+  /// and `numa`, whose placement fields the base has filled. The one
+  /// gauge hook: SampleProgress() calls it from watchdog and serving
+  /// threads and Finish() after the joiners exit, so implementations
+  /// read only thread-safe counters (NodeArena::snapshot,
+  /// EpochManager::PendingCountAll, relaxed atomics). Default: no
+  /// arenas, leave zeros.
+  virtual void SampleGauges(MemStats* /*mem*/, NumaStats* /*numa*/) const {}
 
-  /// Sends an event to a joiner, applying the overload policy for tuple
-  /// events. Control events (watermark/flush) are never dropped.
+  /// Sends an event to a joiner: a tuple is staged (a stage of
+  /// `batch_size` flushes under the overload policy), a control event
+  /// flushes the stage and is never dropped.
   void EnqueueTo(uint32_t joiner, const Event& event);
+
+  /// Highest event time through which joiner data is complete, given the
+  /// joiner's last punctuation and the highest ts it has observed. In
+  /// kWatermark mode a future tuple may still carry ts == watermark, so
+  /// the guarantee is strictly below it; in kEager mode it is everything
+  /// observed plus what the last punctuation proves was emitted globally
+  /// (wm = max emitted - lateness).
+  Timestamp CompleteThrough(Timestamp last_wm, Timestamp max_seen) const;
 
   /// True once the watchdog or Finish() has raised the stop token.
   /// Subclass loops that can spin (OnFlush drains, auxiliary threads)
@@ -629,9 +613,18 @@ class ParallelEngineBase : public JoinEngine {
     return joiner_views_[joiner].accepting[ord];
   }
 
-  /// Tags, counts, and forwards one finalized result (joiner threads).
-  void EmitResult(QueryRuntime& query, JoinResult& result) {
+  /// Builds, counts, and forwards one finalized result of `query`
+  /// (joiner threads), recording its latency in `latency`.
+  void EmitResult(QueryRuntime& query, const Tuple& base, int64_t arrival_us,
+                  double value, uint64_t count, LatencyRecorder& latency) {
+    JoinResult result;
+    result.base = base;
+    result.aggregate = value;
+    result.match_count = count;
+    result.arrival_us = arrival_us;
+    result.emit_us = MonotonicNowUs();
     result.query = query.ord;
+    latency.Record(result.emit_us - arrival_us);
     query.results.fetch_add(1, std::memory_order_relaxed);
     sink_->OnResult(result);
   }
@@ -698,11 +691,6 @@ class ParallelEngineBase : public JoinEngine {
   void PushTupleBatch(uint32_t joiner, const Event* events, size_t n,
                       int64_t deadline_ns);
 
-  /// Tuple enqueue under OverloadPolicy::kShedOldest: stage in spill_,
-  /// drain opportunistically, shed the oldest staged tuples past
-  /// capacity.
-  void EnqueueShedding(uint32_t joiner, const Event& event);
-
   /// Sheds the oldest staged *tuples* beyond the spill capacity
   /// (watermarks/flushes are load-bearing and always survive).
   void ShedSpillOverflow(uint32_t joiner);
@@ -719,6 +707,9 @@ class ParallelEngineBase : public JoinEngine {
   /// Fault-injection hooks for joiner `j`; returns false when the joiner
   /// should exit (injected stall released by the stop token).
   bool InjectFaults(uint32_t joiner, uint64_t events_seen);
+
+  /// Placement fields plus SampleGauges: the live and the final gauges.
+  void FillGauges(MemStats* mem, NumaStats* numa) const;
 
   void StartWatchdog();
   void RecordUnhealthy(const Status& status);
@@ -758,11 +749,12 @@ class ParallelEngineBase : public JoinEngine {
   // --- overload & fault tolerance ---
   LatenessGate late_gate_;                 // driver thread only
   std::vector<std::deque<Event>> spill_;   // driver thread only
-  std::vector<uint64_t> dropped_per_joiner_;
-  std::vector<uint64_t> control_lost_per_joiner_;
-  uint64_t overload_dropped_ = 0;
-  uint64_t overload_shed_ = 0;
   uint64_t watermark_attempts_ = 0;  // incl. injector-suppressed ones
+  // Loss counters: the driver thread writes (SingleWriterAdd), samplers
+  // read.
+  std::unique_ptr<std::atomic<uint64_t>[]> control_lost_;  // per joiner
+  std::atomic<uint64_t> overload_dropped_{0};
+  std::atomic<uint64_t> overload_shed_{0};
 
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> pushed_{0};

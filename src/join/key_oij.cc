@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/clock.h"
 #include "common/hash.h"
 
 namespace oij {
@@ -32,28 +31,6 @@ void KeyOijEngine::Route(const Event& event) {
   const uint32_t joiner =
       RangePartition(Mix64(event.tuple.key), num_joiners());
   EnqueueTo(joiner, event);
-}
-
-Timestamp KeyOijEngine::FinalizeThreshold(const JoinerState& s) const {
-  // Returns the highest event time T such that all data with ts <= T is
-  // guaranteed present (exactly in kWatermark mode; best-effort in kEager).
-  if (spec().emit_mode == EmitMode::kEager) {
-    // Join-on-arrival: a base tuple waits only for its FOL offset worth of
-    // locally observed event time (zero wait for PRE-only windows).
-    Timestamp t = s.max_seen;
-    if (s.last_wm != kMinTimestamp && s.last_wm != kMaxTimestamp) {
-      t = std::max(t, s.last_wm + spec().lateness_us);
-    } else if (s.last_wm == kMaxTimestamp) {
-      t = kMaxTimestamp;
-    }
-    return t;
-  }
-  // A future tuple may still carry ts == watermark, so completeness is
-  // only guaranteed strictly below it.
-  if (s.last_wm == kMinTimestamp || s.last_wm == kMaxTimestamp) {
-    return s.last_wm;
-  }
-  return s.last_wm - 1;
 }
 
 void KeyOijEngine::OnTuple(uint32_t joiner, const Event& event) {
@@ -107,7 +84,7 @@ void KeyOijEngine::ScanKey(JoinerState& s, const QuerySpec& qspec, Key key,
 }
 
 void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
-  const Timestamp threshold = FinalizeThreshold(s);
+  const Timestamp threshold = CompleteThrough(s.last_wm, s.max_seen);
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     const QuerySpec& qspec = q->spec;
@@ -134,7 +111,8 @@ void KeyOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
           for (size_t i = 0; i < g.size; ++i) {
             const AggState agg = g.Aggregate(i).ToAggState();
             s.CountJoinOp(agg.count, g.gathered);
-            Emit(s, *q, g.Base(i), g.Arrival(i), agg);
+            EmitResult(*q, g.Base(i), g.Arrival(i), agg.Result(qspec.agg),
+                       agg.count, s.latency);
           }
         });
   }
@@ -169,20 +147,8 @@ void KeyOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
 
   s.visited += op_visited;
   s.CountJoinOp(s.scratch_matches.size(), op_visited);
-  Emit(s, query, base, arrival_us, agg);
-}
-
-void KeyOijEngine::Emit(JoinerState& s, QueryRuntime& query,
-                        const Tuple& base, int64_t arrival_us,
-                        const AggState& agg) {
-  JoinResult result;
-  result.base = base;
-  result.aggregate = agg.Result(query.spec.agg);
-  result.match_count = agg.count;
-  result.arrival_us = arrival_us;
-  result.emit_us = MonotonicNowUs();
-  s.latency.Record(result.emit_us - arrival_us);
-  EmitResult(query, result);
+  EmitResult(query, base, arrival_us, agg.Result(qspec.agg), agg.count,
+             s.latency);
 }
 
 void KeyOijEngine::Evict(JoinerState& s) {

@@ -70,9 +70,6 @@ class KeyOijEngine : public ParallelEngineBase {
     uint64_t buffered = 0;
   };
 
-  /// Event-time threshold below which base tuples may finalize.
-  Timestamp FinalizeThreshold(const JoinerState& s) const;
-
   void DrainPending(uint32_t joiner, JoinerState& s);
   /// Calls fn(tuple) for every stored tuple of `key` the query may join:
   /// the key's whole unsorted buffer, plus the late-probe annex for
@@ -82,9 +79,6 @@ class KeyOijEngine : public ParallelEngineBase {
                       Fn&& fn);
   void JoinOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
                int64_t arrival_us);
-  /// Shared result-emission tail of both join paths.
-  void Emit(JoinerState& s, QueryRuntime& query, const Tuple& base,
-            int64_t arrival_us, const AggState& agg);
   void Evict(JoinerState& s);
 
   std::vector<std::unique_ptr<JoinerState>> states_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/clock.h"
-
 namespace oij {
 
 namespace {
@@ -64,10 +62,8 @@ void ScaleOijEngine::Route(const Event& event) {
   const uint32_t member = team[round_robin_[p]++ % team.size()];
   if (numa_topo_ && team.size() > 1 &&
       placement().NodeOfJoiner(member) != placement().NodeOfJoiner(team[0])) {
-    // Single-writer bump (driver thread only; admin threads just read).
-    numa_cross_dispatches_.store(
-        numa_cross_dispatches_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    // Driver thread only; admin threads just read.
+    SingleWriterAdd(numa_cross_dispatches_);
   }
   EnqueueTo(member, event);
 
@@ -80,10 +76,7 @@ void ScaleOijEngine::Route(const Event& event) {
     if (next != router_schedule_) {
       ++rebalances_;
       if (tel.cross_node_moves > 0) {
-        numa_cross_replications_.store(
-            numa_cross_replications_.load(std::memory_order_relaxed) +
-                tel.cross_node_moves,
-            std::memory_order_relaxed);
+        SingleWriterAdd(numa_cross_replications_, tel.cross_node_moves);
       }
       router_schedule_ = next;
       table_.Publish(next);
@@ -91,32 +84,11 @@ void ScaleOijEngine::Route(const Event& event) {
   }
 }
 
-Timestamp ScaleOijEngine::LocalProgress(const JoinerState& s) const {
-  // Highest event time through which this joiner's queue is complete *and*
-  // processed. A future tuple may still carry ts == watermark, so in
-  // kWatermark mode the guarantee is strictly below the punctuation.
-  if (spec().emit_mode == EmitMode::kWatermark) {
-    if (s.last_wm == kMinTimestamp || s.last_wm == kMaxTimestamp) {
-      return s.last_wm;
-    }
-    return s.last_wm - 1;
-  }
-  // Eager mode: everything this joiner has observed, plus what the last
-  // punctuation proves was emitted globally (wm = max emitted − l).
-  Timestamp p = s.max_seen;
-  if (s.last_wm != kMinTimestamp) {
-    const Timestamp global = s.last_wm == kMaxTimestamp
-                                 ? kMaxTimestamp
-                                 : s.last_wm + spec().lateness_us;
-    p = std::max(p, global);
-  }
-  return p;
-}
-
 void ScaleOijEngine::PublishProgress(JoinerState& s) {
   // Release: teammates that acquire this value must observe every index
   // insert performed before it.
-  s.progress.store(LocalProgress(s), std::memory_order_release);
+  s.progress.store(CompleteThrough(s.last_wm, s.max_seen),
+                   std::memory_order_release);
 }
 
 void ScaleOijEngine::PublishReadFloor(JoinerState& s) {
@@ -358,7 +330,8 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
     for (uint32_t i = slice.lo; i < slice.hi; ++i) agg.Add(g.probes.payload[i]);
   }
   s.CountJoinOp(agg.count, g.visited);
-  EmitOne(s, query, base, arrival_us, agg.Result(qspec.agg), agg.count);
+  EmitResult(query, base, arrival_us, agg.Result(qspec.agg), agg.count,
+             s.latency);
 }
 
 void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
@@ -376,21 +349,9 @@ void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
   for (size_t i = 0; i < g.size; ++i) {
     const AggState& agg = s.aggs[i];
     s.CountJoinOp(agg.count, g.gathered);
-    EmitOne(s, query, g.Base(i), g.Arrival(i), agg.Result(kind), agg.count);
+    EmitResult(query, g.Base(i), g.Arrival(i), agg.Result(kind), agg.count,
+               s.latency);
   }
-}
-
-void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
-                             const Tuple& base, int64_t arrival_us,
-                             double value, uint64_t count) {
-  JoinResult result;
-  result.base = base;
-  result.aggregate = value;
-  result.match_count = count;
-  result.arrival_us = arrival_us;
-  result.emit_us = MonotonicNowUs();
-  s.latency.Record(result.emit_us - arrival_us);
-  EmitResult(query, result);
 }
 
 void ScaleOijEngine::Evict(JoinerState& s) {
@@ -448,54 +409,33 @@ void ScaleOijEngine::CollectStats(EngineStats* stats) {
   for (const auto& s : states_) s->MergeInto(stats);
   stats->rebalances = rebalances_;
   stats->final_schedule_version = router_schedule_->version;
-
-  stats->mem.pooled = true;
-  // One pass over the per-arena counters fills both the engine-wide
-  // aggregate and the per-node split (each arena is wholly on its
-  // joiner's node, so grouping is by the placement map — no slab walk).
-  const PlacementPlan& plan = placement();
-  stats->numa_node_arena_bytes.assign(plan.num_nodes, 0);
-  stats->numa_node_arena_live_nodes.assign(plan.num_nodes, 0);
-  for (size_t j = 0; j < arenas_.size(); ++j) {
-    const NodeArena::Stats a = arenas_[j]->snapshot();
-    stats->mem.arena_reserved_bytes += a.reserved_bytes;
-    stats->mem.arena_live_nodes += a.live_nodes;
-    stats->mem.arena_allocations += a.allocations;
-    stats->mem.arena_slab_recycles += a.slab_recycles;
-    stats->mem.arena_oversize_allocs += a.oversize_allocs;
-    const uint32_t ord =
-        std::min(plan.NodeOfJoiner(static_cast<uint32_t>(j)),
-                 plan.num_nodes - 1);
-    stats->numa_node_arena_bytes[ord] += a.reserved_bytes;
-    stats->numa_node_arena_live_nodes[ord] += a.live_nodes;
-  }
-  stats->mem.ebr_retired_backlog = ebr_.PendingCountAll();
-  stats->numa_cross_replications =
-      numa_cross_replications_.load(std::memory_order_relaxed);
-  stats->numa_cross_dispatches =
-      numa_cross_dispatches_.load(std::memory_order_relaxed);
 }
 
-void ScaleOijEngine::SampleMem(WatchdogSample* sample) const {
-  // Watchdog/serving threads: only the relaxed-atomic gauges are touched.
+void ScaleOijEngine::SampleGauges(MemStats* mem, NumaStats* numa) const {
+  // One pass over the per-arena counters fills both the engine-wide
+  // aggregate and the per-node split (each arena is wholly on its
+  // joiner's node, so grouping is by the placement map, not a slab walk).
   const PlacementPlan& plan = placement();
-  sample->per_node_arena_bytes.assign(plan.num_nodes, 0);
-  sample->per_node_arena_live_nodes.assign(plan.num_nodes, 0);
+  mem->pooled = true;
+  numa->per_node_arena_bytes.assign(plan.num_nodes, 0);
+  numa->per_node_arena_live_nodes.assign(plan.num_nodes, 0);
   for (size_t j = 0; j < arenas_.size(); ++j) {
     const NodeArena::Stats a = arenas_[j]->snapshot();
-    sample->arena_bytes += a.reserved_bytes;
-    sample->arena_live_nodes += a.live_nodes;
-    sample->arena_slab_recycles += a.slab_recycles;
+    mem->arena_reserved_bytes += a.reserved_bytes;
+    mem->arena_live_nodes += a.live_nodes;
+    mem->arena_allocations += a.allocations;
+    mem->arena_slab_recycles += a.slab_recycles;
+    mem->arena_oversize_allocs += a.oversize_allocs;
     const uint32_t ord =
         std::min(plan.NodeOfJoiner(static_cast<uint32_t>(j)),
                  plan.num_nodes - 1);
-    sample->per_node_arena_bytes[ord] += a.reserved_bytes;
-    sample->per_node_arena_live_nodes[ord] += a.live_nodes;
+    numa->per_node_arena_bytes[ord] += a.reserved_bytes;
+    numa->per_node_arena_live_nodes[ord] += a.live_nodes;
   }
-  sample->ebr_retired_backlog = ebr_.PendingCountAll();
-  sample->numa_cross_replications =
+  mem->ebr_retired_backlog = ebr_.PendingCountAll();
+  numa->cross_replications =
       numa_cross_replications_.load(std::memory_order_relaxed);
-  sample->numa_cross_dispatches =
+  numa->cross_dispatches =
       numa_cross_dispatches_.load(std::memory_order_relaxed);
 }
 

@@ -77,7 +77,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   bool SupportsMultiQuery() const override { return true; }
   void OnAddQuery(uint32_t joiner, QueryRuntime& query) override;
   void CollectStats(EngineStats* stats) override;
-  void SampleMem(WatchdogSample* sample) const override;
+  void SampleGauges(MemStats* mem, NumaStats* numa) const override;
   bool CollectSnapshotState(uint32_t joiner,
                             std::vector<StreamEvent>* out) override;
 
@@ -137,7 +137,6 @@ class ScaleOijEngine : public ParallelEngineBase {
     Timestamp last_wm = kMinTimestamp;
   };
 
-  Timestamp LocalProgress(const JoinerState& s) const;
   void PublishProgress(JoinerState& s);
   void PublishReadFloor(JoinerState& s);
 
@@ -169,9 +168,6 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// GatherKey set.
   void EmitGroup(JoinerState& s, QueryRuntime& query, const ColumnarGroup& g,
                  const col::KeyWindow* window);
-  /// Shared result-emission tail of both join paths.
-  void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
-               int64_t arrival_us, double value, uint64_t count);
   void Evict(JoinerState& s);
   bool HavePending(const JoinerState& s) const;
 

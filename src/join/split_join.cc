@@ -32,23 +32,6 @@ void SplitJoinEngine::Route(const Event& event) {
   }
 }
 
-Timestamp SplitJoinEngine::FinalizeThreshold(const JoinerState& s) const {
-  // Highest event time with guaranteed-complete data; see KeyOijEngine.
-  if (spec().emit_mode == EmitMode::kEager) {
-    Timestamp t = s.max_seen;
-    if (s.last_wm != kMinTimestamp && s.last_wm != kMaxTimestamp) {
-      t = std::max(t, s.last_wm + spec().lateness_us);
-    } else if (s.last_wm == kMaxTimestamp) {
-      t = kMaxTimestamp;
-    }
-    return t;
-  }
-  if (s.last_wm == kMinTimestamp || s.last_wm == kMaxTimestamp) {
-    return s.last_wm;
-  }
-  return s.last_wm - 1;
-}
-
 void SplitJoinEngine::OnTuple(uint32_t joiner, const Event& event) {
   JoinerState& s = *states_[joiner];
   ++s.processed;
@@ -64,7 +47,8 @@ void SplitJoinEngine::OnTuple(uint32_t joiner, const Event& event) {
     }
   } else {
     // Process step: every joiner probes its slice for every base tuple.
-    if (event.tuple.ts + spec().window.fol <= FinalizeThreshold(s)) {
+    if (event.tuple.ts + spec().window.fol <=
+        CompleteThrough(s.last_wm, s.max_seen)) {
       ProcessBase(joiner, s, event.tuple, event.arrival_us, event.seq);
     } else {
       s.pending.push(PendingBase{event.tuple, event.arrival_us, event.seq});
@@ -88,7 +72,7 @@ void SplitJoinEngine::OnFlush(uint32_t joiner) {
 }
 
 void SplitJoinEngine::DrainPending(uint32_t joiner, JoinerState& s) {
-  const Timestamp threshold = FinalizeThreshold(s);
+  const Timestamp threshold = CompleteThrough(s.last_wm, s.max_seen);
   while (!s.pending.empty() &&
          s.pending.top().tuple.ts + spec().window.fol <= threshold) {
     const PendingBase pb = s.pending.top();

@@ -87,7 +87,6 @@ class SplitJoinEngine : public ParallelEngineBase {
     SampledCacheProbe cache_probe;
   };
 
-  Timestamp FinalizeThreshold(const JoinerState& s) const;
   void DrainPending(uint32_t joiner, JoinerState& s);
   void ProcessBase(uint32_t joiner, JoinerState& s, const Tuple& base,
                    int64_t arrival_us, uint64_t seq);

@@ -13,9 +13,9 @@ bool NameChar(char c) {
          (c >= '0' && c <= '9') || c == '_' || c == ':';
 }
 
-/// Renders a double the way Prometheus clients do: integers without a
-/// fractional part, everything else with enough digits to round-trip.
-std::string RenderValue(double v) {
+}  // namespace
+
+std::string FormatSampleValue(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   if (v == std::floor(v) && std::abs(v) < 1e15) {
@@ -27,8 +27,6 @@ std::string RenderValue(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-}  // namespace
 
 std::string SanitizeMetricName(std::string_view name) {
   std::string out;
@@ -96,7 +94,7 @@ void PrometheusWriter::Sample(const std::string& name,
     }
     text_ += "}";
   }
-  text_ += " " + RenderValue(value) + "\n";
+  text_ += " " + FormatSampleValue(value) + "\n";
 }
 
 void PrometheusWriter::Counter(std::string_view name, std::string_view help,
@@ -120,7 +118,8 @@ void PrometheusWriter::Histogram(std::string_view name, std::string_view help,
   Header(n, help, "histogram");
   for (const auto& bucket : recorder.CumulativeBuckets()) {
     PrometheusLabels with_le = labels;
-    with_le.emplace_back("le", RenderValue(static_cast<double>(bucket.upper_us)));
+    with_le.emplace_back(
+        "le", FormatSampleValue(static_cast<double>(bucket.upper_us)));
     Sample(n + "_bucket", with_le,
            static_cast<double>(bucket.cumulative_count));
   }

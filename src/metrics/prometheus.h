@@ -24,6 +24,10 @@ std::string SanitizeMetricName(std::string_view name);
 /// format's label-value rules.
 std::string EscapeLabelValue(std::string_view value);
 
+/// Renders a sample value the way Prometheus clients do: integers without
+/// a fractional part, everything else with enough digits to round-trip.
+std::string FormatSampleValue(double v);
+
 /// One ("name", "value") label pair; values are escaped at render time.
 using PrometheusLabels = std::vector<std::pair<std::string, std::string>>;
 

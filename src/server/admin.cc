@@ -2,654 +2,306 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <tuple>
+#include <utility>
 
 #include "core/run_summary.h"
-#include "metrics/prometheus.h"
 
 namespace oij {
 
 namespace {
 
-/// Minimal append-style JSON builder (objects/arrays nested by hand at
-/// the call site; this only handles correct escaping and number forms).
-class JsonOut {
- public:
-  void Raw(std::string_view s) { out_.append(s); }
+/// Late-tuple dispositions: the JSON key, and the Prometheus label value.
+constexpr std::pair<const char*, uint64_t LateStats::*> kDispositions[] = {
+    {"joined", &LateStats::joined},
+    {"dropped", &LateStats::dropped},
+    {"side_channel", &LateStats::side_channel}};
 
-  void Key(std::string_view name) {
-    String(name);  // String() emits the separating comma
-    out_ += ":";
-    pending_comma_ = false;
+/// The standing-query catalog as a table (shared by /statz and /queries).
+void AddQueryRows(StatList& l, const std::vector<QueryStatsRow>& rows) {
+  using Row = QueryStatsRow;
+  std::vector<std::string> ids;
+  for (const Row& q : rows) ids.push_back(q.id);
+  auto text = [&](const char* path, auto get) {
+    l.Column(StatType::kText, path, "", "", "query", rows, ids, get);
+  };
+  text("queries[].id", [](const Row& q) { return q.id; });
+  l.Column(StatType::kGauge, "queries[].ord", "oij_query_ord",
+           "Catalog ordinal of the standing query", "query", rows, ids,
+           [](const Row& q) { return q.ord; });
+  l.Column(StatType::kFlag, "queries[].active", "oij_query_active",
+           "1 while the standing query accepts new base tuples", "query",
+           rows, ids, [](const Row& q) { return q.active; });
+  l.Column(StatType::kGauge, "queries[].pre", "oij_query_window_pre_us",
+           "Window PRE offset of the standing query", "query", rows, ids,
+           [](const Row& q) { return q.spec.window.pre; });
+  l.Column(StatType::kGauge, "queries[].fol", "oij_query_window_fol_us",
+           "Window FOL offset of the standing query", "query", rows, ids,
+           [](const Row& q) { return q.spec.window.fol; });
+  l.Column(StatType::kGauge, "queries[].lateness", "oij_query_lateness_us",
+           "Lateness bound of the standing query", "query", rows, ids,
+           [](const Row& q) { return q.spec.lateness_us; });
+  text("queries[].agg", [](const Row& q) { return AggKindName(q.spec.agg); });
+  text("queries[].emit",
+       [](const Row& q) { return EmitModeName(q.spec.emit_mode); });
+  text("queries[].late_policy",
+       [](const Row& q) { return LatePolicyName(q.spec.late_policy); });
+  l.Column(StatType::kCounter, "queries[].results", "oij_query_results_total",
+           "Join results emitted per standing query", "query", rows, ids,
+           [](const Row& q) { return q.results; });
+  l.Column(StatType::kCounter, "queries[].late.tuples",
+           "oij_query_late_total",
+           "Lateness-bound violations observed per standing query", "query",
+           rows, ids, [](const Row& q) { return q.late.tuples; });
+  for (const auto& [name, count] : kDispositions) {
+    l.Column(StatType::kCounter, std::string("queries[].late.") + name,
+             "oij_query_late_tuples_total",
+             "Lateness-bound violations per standing query by disposition",
+             "query", rows, ids, [&](const Row& q) { return q.late.*count; })
+        .labels = {{"disposition", name}};
   }
-
-  void String(std::string_view s) {
-    Comma();
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ += "\\\"";
-          break;
-        case '\\':
-          out_ += "\\\\";
-          break;
-        case '\n':
-          out_ += "\\n";
-          break;
-        case '\r':
-          out_ += "\\r";
-          break;
-        case '\t':
-          out_ += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
-    pending_comma_ = true;
-  }
-
-  void Number(double v) {
-    Comma();
-    if (!std::isfinite(v)) {
-      Raw("null");
-    } else if (v == std::floor(v) && std::abs(v) < 1e15) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      Raw(buf);
-    } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      Raw(buf);
-    }
-    pending_comma_ = true;
-  }
-
-  void Number(uint64_t v) { Number(static_cast<double>(v)); }
-  void Number(int64_t v) { Number(static_cast<double>(v)); }
-
-  void Bool(bool v) {
-    Comma();
-    Raw(v ? "true" : "false");
-    pending_comma_ = true;
-  }
-
-  void Null() {
-    Comma();
-    Raw("null");
-    pending_comma_ = true;
-  }
-
-  void Open(char bracket) {
-    Comma();
-    out_ += bracket;
-    pending_comma_ = false;
-  }
-  void Close(char bracket) {
-    out_ += bracket;
-    pending_comma_ = true;
-  }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Comma() {
-    if (pending_comma_) out_ += ',';
-    pending_comma_ = false;
-  }
-
-  std::string out_;
-  bool pending_comma_ = false;
-};
-
-/// Emits the standing-query catalog as a JSON array (shared by /statz
-/// and /queries).
-void AppendQueryRows(JsonOut& j, const std::vector<QueryStatsRow>& queries) {
-  j.Open('[');
-  for (const QueryStatsRow& q : queries) {
-    j.Open('{');
-    j.Key("id");
-    j.String(q.id);
-    j.Key("ord");
-    j.Number(static_cast<uint64_t>(q.ord));
-    j.Key("active");
-    j.Bool(q.active);
-    j.Key("pre");
-    j.Number(static_cast<int64_t>(q.spec.window.pre));
-    j.Key("fol");
-    j.Number(static_cast<int64_t>(q.spec.window.fol));
-    j.Key("lateness");
-    j.Number(static_cast<int64_t>(q.spec.lateness_us));
-    j.Key("agg");
-    j.String(AggKindName(q.spec.agg));
-    j.Key("emit");
-    j.String(EmitModeName(q.spec.emit_mode));
-    j.Key("late_policy");
-    j.String(LatePolicyName(q.spec.late_policy));
-    j.Key("results");
-    j.Number(q.results);
-    j.Key("late");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(q.late.tuples);
-    j.Key("joined");
-    j.Number(q.late.joined);
-    j.Key("dropped");
-    j.Number(q.late.dropped);
-    j.Key("side_channel");
-    j.Number(q.late.side_channel);
-    j.Close('}');
-    j.Close('}');
-  }
-  j.Close(']');
 }
 
 }  // namespace
 
-std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
-  PrometheusWriter w;
-  const PrometheusLabels run_labels = {{"engine", snap.engine_name},
-                                       {"workload", snap.workload_name}};
-
-  w.Gauge("oij_up", "1 while the server is serving", 1.0, run_labels);
-  w.Gauge("oij_uptime_seconds", "Seconds since the server started",
-          snap.uptime_seconds);
-  w.Gauge("oij_healthy", "1 while the engine health probe reports OK",
-          snap.health.ok() ? 1.0 : 0.0);
-  w.Gauge("oij_run_finished", "1 once the run has been finalized",
-          snap.run_finished ? 1.0 : 0.0);
-  w.Gauge("oij_recovering", "1 while the engine is replaying its WAL",
-          snap.recovering ? 1.0 : 0.0);
+StatList ServerStats(const AdminSnapshot& snap) {
+  StatList l;
+  l.Text("state", snap.recovering
+                      ? "recovering"
+                      : (snap.run_finished ? "finished" : "serving"));
+  l.Text("engine", snap.engine_name);
+  l.Text("workload", snap.workload_name);
+  l.Gauge("up", "oij_up", "1 while the server is serving", 1.0,
+          {{"engine", snap.engine_name}, {"workload", snap.workload_name}});
+  l.Gauge("uptime_seconds", "oij_uptime_seconds",
+          "Seconds since the server started", snap.uptime_seconds);
+  l.Flag("run_finished", "oij_run_finished",
+         "1 once the run has been finalized", snap.run_finished);
+  l.Flag("health.ok", "oij_healthy",
+         "1 while the engine health probe reports OK", snap.health.ok());
+  l.Text("health.status", snap.health.ToString());
 
   const ServerCounters& c = snap.counters;
-  w.Counter("oij_connections_accepted_total",
-            "Data-plane connections accepted",
-            static_cast<double>(c.connections_accepted));
-  w.Gauge("oij_connections_open", "Data-plane connections currently open",
-          static_cast<double>(c.connections_open));
-  w.Counter("oij_admin_requests_total", "Admin HTTP requests served",
-            static_cast<double>(c.admin_requests));
-  w.Counter("oij_ingest_bytes_total", "Bytes received on the data plane",
-            static_cast<double>(c.bytes_in));
-  w.Counter("oij_egress_bytes_total", "Bytes written on the data plane",
-            static_cast<double>(c.bytes_out));
-  w.Counter("oij_frames_total", "Well-formed wire frames decoded",
-            static_cast<double>(c.frames_in));
-  w.Counter("oij_frames_rejected_total",
+  l.Counter("server.connections_accepted", "oij_connections_accepted_total",
+            "Data-plane connections accepted", c.connections_accepted);
+  l.Gauge("server.connections_open", "oij_connections_open",
+          "Data-plane connections currently open", c.connections_open);
+  l.Counter("server.admin_requests", "oij_admin_requests_total",
+            "Admin HTTP requests served", c.admin_requests);
+  l.Counter("server.bytes_in", "oij_ingest_bytes_total",
+            "Bytes received on the data plane", c.bytes_in);
+  l.Counter("server.bytes_out", "oij_egress_bytes_total",
+            "Bytes written on the data plane", c.bytes_out);
+  l.Counter("server.frames_in", "oij_frames_total",
+            "Well-formed wire frames decoded", c.frames_in);
+  l.Counter("server.frames_rejected", "oij_frames_rejected_total",
             "Malformed frames that closed their connection",
-            static_cast<double>(c.frames_rejected));
-  w.Counter("oij_ingest_tuples_total", "Tuple frames ingested",
-            static_cast<double>(c.tuples_in));
-  w.Counter("oij_ingest_watermarks_total", "Watermark frames ingested",
-            static_cast<double>(c.watermarks_in));
-  w.Counter("oij_results_streamed_total",
-            "Result frames queued to subscribers",
-            static_cast<double>(c.results_streamed));
-  w.Gauge("oij_subscribers", "Connections subscribed to results",
-          static_cast<double>(c.subscribers));
-  w.Counter("oij_subscribers_evicted_total",
+            c.frames_rejected);
+  l.Counter("server.tuples_in", "oij_ingest_tuples_total",
+            "Tuple frames ingested", c.tuples_in);
+  l.Counter("server.watermarks_in", "oij_ingest_watermarks_total",
+            "Watermark frames ingested", c.watermarks_in);
+  l.Counter("server.results_streamed", "oij_results_streamed_total",
+            "Result frames queued to subscribers", c.results_streamed);
+  l.Gauge("server.subscribers", "oij_subscribers",
+          "Connections subscribed to results", c.subscribers);
+  l.Counter("server.subscribers_evicted", "oij_subscribers_evicted_total",
             "Subscribers dropped for exceeding the egress backlog bound",
-            static_cast<double>(c.subscribers_evicted));
-  w.Counter("oij_watermark_acks_total",
+            c.subscribers_evicted);
+  l.Counter("server.watermark_acks", "oij_watermark_acks_total",
             "Watermark acknowledgements sent to hello'd peers",
-            static_cast<double>(c.watermark_acks));
-  w.Counter("oij_hellos_rejected_total",
+            c.watermark_acks);
+  l.Counter("server.hellos_rejected", "oij_hellos_rejected_total",
             "Handshake frames refused (magic/version/order)",
-            static_cast<double>(c.hellos_rejected));
+            c.hellos_rejected);
 
-  // Live engine progress: router intake and the per-joiner rings.
-  w.Counter("oij_engine_accepted_tuples_total",
-            "Tuples the engine's router accepted",
-            static_cast<double>(snap.progress.pushed));
-  w.Counter("oij_engine_watermarks_total",
-            "Watermark punctuations signaled to the engine",
-            static_cast<double>(snap.progress.watermarks));
-  for (size_t j = 0; j < snap.progress.queue_depths.size(); ++j) {
-    w.Gauge("oij_joiner_queue_depth",
-            "Router->joiner ring occupancy (events)",
-            static_cast<double>(snap.progress.queue_depths[j]),
-            {{"joiner", std::to_string(j)}});
-  }
-  for (size_t j = 0; j < snap.progress.consumed.size(); ++j) {
-    w.Counter("oij_joiner_consumed_total", "Events processed per joiner",
-              static_cast<double>(snap.progress.consumed[j]),
-              {{"joiner", std::to_string(j)}});
-  }
+  // Live engine progress; it stays valid after Finish().
+  const WatchdogSample& p = snap.progress;
+  l.Counter("engine_progress.accepted_tuples",
+            "oij_engine_accepted_tuples_total",
+            "Tuples the engine's router accepted", p.pushed);
+  l.Counter("engine_progress.watermarks", "oij_engine_watermarks_total",
+            "Watermark punctuations signaled to the engine", p.watermarks);
+  l.Column(StatType::kGauge, "engine_progress.queue_depths",
+           "oij_joiner_queue_depth", "Router->joiner ring occupancy (events)",
+           "joiner", p.queue_depths, {});
+  l.Column(StatType::kCounter, "engine_progress.consumed",
+           "oij_joiner_consumed_total", "Events processed per joiner",
+           "joiner", p.consumed, {});
 
-  // Allocator gauges (live; zero for engines without node arenas).
-  w.Gauge("oij_arena_bytes",
+  // Allocator gauges (zero for engines without node arenas).
+  const MemStats& m = p.mem;
+  l.Gauge("engine_progress.memory.arena_bytes", "oij_arena_bytes",
           "Slab bytes reserved by the joiner-owned node arenas",
-          static_cast<double>(snap.progress.arena_bytes));
-  w.Gauge("oij_arena_live_nodes", "Nodes resident in the node arenas",
-          static_cast<double>(snap.progress.arena_live_nodes));
-  w.Gauge("oij_ebr_retired_backlog",
+          m.arena_reserved_bytes);
+  l.Gauge("engine_progress.memory.arena_live_nodes", "oij_arena_live_nodes",
+          "Nodes resident in the node arenas", m.arena_live_nodes);
+  l.Gauge("engine_progress.memory.ebr_retired_backlog",
+          "oij_ebr_retired_backlog",
           "Nodes retired to EBR and awaiting epoch drain",
-          static_cast<double>(snap.progress.ebr_retired_backlog));
-  w.Counter("oij_arena_slab_recycles_total",
+          m.ebr_retired_backlog);
+  l.Counter("engine_progress.memory.arena_slab_recycles",
+            "oij_arena_slab_recycles_total",
             "Fully-dead slabs returned to the arena empty pool",
-            static_cast<double>(snap.progress.arena_slab_recycles));
+            m.arena_slab_recycles);
+  l.Flag("engine_progress.memory.pooled", "oij_arena_pooled",
+         "1 when the engine allocates its index from node arenas", m.pooled);
+  l.Gauge("engine_progress.memory.arena_reserved_bytes",
+          "oij_arena_reserved_bytes",
+          "Slab bytes reserved by the node arenas (alias of "
+          "oij_arena_bytes)",
+          m.arena_reserved_bytes);
+  l.Counter("engine_progress.memory.arena_allocations",
+            "oij_arena_allocations_total", "Nodes allocated from the arenas",
+            m.arena_allocations);
 
-  // NUMA placement (src/topo/). The node-count gauge always exports so
-  // dashboards can tell "flat machine" from "not scraping"; the per-node
-  // and per-joiner series appear only when a placement plan is active.
-  w.Gauge("oij_numa_nodes", "NUMA nodes the engine's placement plan spans",
-          static_cast<double>(snap.progress.numa_nodes));
-  w.Gauge("oij_numa_active",
-          "1 while joiners run pinned under a NUMA placement plan",
-          snap.progress.numa_active ? 1.0 : 0.0);
-  if (snap.progress.numa_active) {
-    for (size_t j = 0; j < snap.progress.numa_pin_cpus.size(); ++j) {
-      w.Gauge("oij_numa_joiner_cpu",
-              "CPU each joiner thread is pinned to (-1 = unpinned)",
-              static_cast<double>(snap.progress.numa_pin_cpus[j]),
-              {{"joiner", std::to_string(j)}});
-    }
-    for (size_t n = 0; n < snap.progress.per_node_arena_bytes.size(); ++n) {
-      w.Gauge("oij_numa_node_arena_bytes",
-              "Arena slab bytes reserved by joiners of each NUMA node",
-              static_cast<double>(snap.progress.per_node_arena_bytes[n]),
-              {{"node", std::to_string(n)}});
-    }
-    for (size_t n = 0;
-         n < snap.progress.per_node_arena_live_nodes.size(); ++n) {
-      w.Gauge("oij_numa_node_arena_live_nodes",
-              "Index nodes resident in each NUMA node's arenas",
-              static_cast<double>(
-                  snap.progress.per_node_arena_live_nodes[n]),
-              {{"node", std::to_string(n)}});
-    }
-    w.Counter("oij_numa_cross_replications_total",
-              "Partition replicas the rebalancer placed on a remote node",
-              static_cast<double>(snap.progress.numa_cross_replications));
-    w.Counter("oij_numa_cross_dispatches_total",
-              "Tuple dispatches routed off the partition leader's node",
-              static_cast<double>(snap.progress.numa_cross_dispatches));
-  }
+  // NUMA placement (src/topo/); the per-joiner and per-node series are
+  // empty unless a placement plan is active or the engine has arenas.
+  const NumaStats& numa = p.numa;
+  l.Flag("engine_progress.numa.active", "oij_numa_active",
+         "1 while joiners run pinned under a NUMA placement plan",
+         numa.active);
+  l.Gauge("engine_progress.numa.nodes", "oij_numa_nodes",
+          "NUMA nodes the engine's placement plan spans", numa.nodes);
+  l.Column(StatType::kGauge, "engine_progress.numa.pin_cpus",
+           "oij_numa_joiner_cpu",
+           "CPU each joiner thread is pinned to (-1 = unpinned)", "joiner",
+           numa.pin_cpus, {});
+  l.Column(StatType::kGauge, "engine_progress.numa.joiner_node",
+           "oij_numa_joiner_node", "NUMA node ordinal of each joiner",
+           "joiner", numa.joiner_node, {});
+  l.Column(StatType::kGauge, "engine_progress.numa.per_node_arena_bytes",
+           "oij_numa_node_arena_bytes",
+           "Arena slab bytes reserved by joiners of each NUMA node", "node",
+           numa.per_node_arena_bytes, {});
+  l.Column(StatType::kGauge,
+           "engine_progress.numa.per_node_arena_live_nodes",
+           "oij_numa_node_arena_live_nodes",
+           "Index nodes resident in each NUMA node's arenas", "node",
+           numa.per_node_arena_live_nodes, {});
+  l.Counter("engine_progress.numa.cross_replications",
+            "oij_numa_cross_replications_total",
+            "Partition replicas the rebalancer placed on a remote node",
+            numa.cross_replications);
+  l.Counter("engine_progress.numa.cross_dispatches",
+            "oij_numa_cross_dispatches_total",
+            "Tuple dispatches routed off the partition leader's node",
+            numa.cross_dispatches);
 
-  // Standing-query catalog (one sample set per query ever registered;
-  // removed queries keep exporting with active=0 so their counters do
-  // not vanish mid-scrape).
-  for (const QueryStatsRow& q : snap.queries) {
-    const PrometheusLabels ql = {{"query", q.id}};
-    w.Gauge("oij_query_active",
-            "1 while the standing query accepts new base tuples",
-            q.active ? 1.0 : 0.0, ql);
+  // Loss: late tuples of the primary query, and backpressure.
+  const LateStats late =
+      snap.queries.empty() ? LateStats{} : snap.queries[0].late;
+  l.Counter("engine_progress.late.tuples", "oij_late_total",
+            "Lateness-bound violations observed", late.tuples);
+  for (const auto& [name, count] : kDispositions) {
+    l.Counter(std::string("engine_progress.late.") + name,
+              "oij_late_tuples_total",
+              "Lateness-bound violations by disposition", late.*count,
+              {{"disposition", name}});
   }
-  for (const QueryStatsRow& q : snap.queries) {
-    w.Counter("oij_query_results_total",
-              "Join results emitted per standing query",
-              static_cast<double>(q.results), {{"query", q.id}});
-  }
-  for (const QueryStatsRow& q : snap.queries) {
-    w.Counter("oij_query_late_total",
-              "Lateness-bound violations observed per standing query",
-              static_cast<double>(q.late.tuples), {{"query", q.id}});
-  }
+  l.Counter("engine_progress.overload.dropped", "oij_overload_dropped_total",
+            "Tuples lost to backpressure", p.overload_dropped);
+  l.Counter("engine_progress.overload.shed", "oij_overload_shed_total",
+            "Tuples shed by the kShedOldest policy", p.overload_shed);
+  l.Counter("engine_progress.overload.control_lost", "oij_control_lost_total",
+            "Watermark/flush punctuations lost to stop/deadline",
+            p.control_lost);
 
-  // Durability (absent entirely when the engine runs without a WAL).
+  if (!snap.queries.empty()) AddQueryRows(l, snap.queries);
+
+  l.Flag("wal.recovering", "oij_recovering",
+         "1 while the engine is replaying its WAL", snap.recovering);
   if (snap.wal.enabled) {
     const WalStats& wal = snap.wal;
-    w.Counter("oij_wal_appended_records_total",
+    l.Counter("wal.appended_records", "oij_wal_appended_records_total",
               "Records appended to the write-ahead log",
-              static_cast<double>(wal.appended_records));
-    w.Counter("oij_wal_appended_bytes",
-              "Bytes appended to the write-ahead log",
-              static_cast<double>(wal.appended_bytes));
-    w.Gauge("oij_wal_synced_records",
+              wal.appended_records);
+    l.Counter("wal.appended_bytes", "oij_wal_appended_bytes",
+              "Bytes appended to the write-ahead log", wal.appended_bytes);
+    l.Gauge("wal.synced_records", "oij_wal_synced_records",
             "Appended records known durable; appended - synced bounds "
             "crash loss",
-            static_cast<double>(wal.synced_records));
-    w.Counter("oij_wal_fsyncs_total", "fsync calls issued by group commit",
-              static_cast<double>(wal.fsyncs));
-    w.Counter("oij_wal_fsync_failures_total",
+            wal.synced_records);
+    l.Counter("wal.fsyncs", "oij_wal_fsyncs_total",
+              "fsync calls issued by group commit", wal.fsyncs);
+    l.Counter("wal.fsync_failures", "oij_wal_fsync_failures_total",
               "Injected fsync failures (disk-fault harness)",
-              static_cast<double>(wal.fsync_failures));
-    w.Counter("oij_wal_short_writes_total",
-              "Injected short writes (disk-fault harness)",
-              static_cast<double>(wal.short_writes));
-    w.Counter("oij_snapshots_total", "Snapshot epochs committed",
-              static_cast<double>(wal.snapshots_taken));
-    // Omitted until the first snapshot commits: exporting the -1.0
-    // "never" sentinel as a real sample reads as a negative age and
+              wal.fsync_failures);
+    l.Counter("wal.short_writes", "oij_wal_short_writes_total",
+              "Injected short writes (disk-fault harness)", wal.short_writes);
+    l.Counter("wal.snapshots_taken", "oij_snapshots_total",
+              "Snapshot epochs committed", wal.snapshots_taken);
+    l.Gauge("wal.snapshot_records", "oij_wal_snapshot_records",
+            "Records in the last committed snapshot", wal.snapshot_records);
+    // Absent (JSON null, no sample) until the first snapshot commits:
+    // the -1 "never" sentinel as a sample reads as a negative age and
     // poisons `oij_snapshot_age_seconds > X` alert rules.
-    if (snap.snapshot_age_seconds >= 0.0) {
-      w.Gauge("oij_snapshot_age_seconds",
-              "Seconds since the last committed snapshot",
-              snap.snapshot_age_seconds);
-    }
-    w.Counter("oij_wal_replay_records",
+    l.Gauge("wal.snapshot_age_seconds", "oij_snapshot_age_seconds",
+            "Seconds since the last committed snapshot",
+            snap.snapshot_age_seconds >= 0.0 ? snap.snapshot_age_seconds
+                                             : std::nan(""));
+    l.Counter("wal.replay_records", "oij_wal_replay_records",
               "Records replayed through ingest during recovery",
-              static_cast<double>(wal.replay_records));
-    w.Counter("oij_wal_torn_records_total",
+              wal.replay_records);
+    l.Counter("wal.replay_watermarks", "oij_wal_replay_watermarks",
+              "Watermarks replayed during recovery", wal.replay_watermarks);
+    l.Counter("wal.torn_records", "oij_wal_torn_records_total",
               "Torn or corrupt tail records discarded during recovery",
-              static_cast<double>(wal.torn_records));
-    w.Gauge("oij_recovery_duration_us",
+              wal.torn_records);
+    l.Gauge("wal.recovery_duration_us", "oij_recovery_duration_us",
             "Wall time of the last crash recovery (0 = none ran)",
-            static_cast<double>(wal.recovery_duration_us));
+            wal.recovery_duration_us);
   }
 
+  // Final-only: these exist once Finish() has merged the joiners. The
+  // latency histogram is per joiner until then.
   if (snap.run_finished) {
     const RunResult& run = snap.final_run;
-    const EngineStats& st = run.stats;
-    w.Counter("oij_run_input_tuples_total",
-              "Input tuples of the finalized run",
-              static_cast<double>(run.tuples));
-    w.Counter("oij_run_results_total", "Results of the finalized run",
-              static_cast<double>(st.results));
-    w.Gauge("oij_run_elapsed_seconds", "Wall time of the finalized run",
-            run.elapsed_seconds);
-    w.Gauge("oij_run_throughput_tps",
+    const LatencyRecorder& lat = run.stats.latency;
+    l.Counter("run.tuples", "oij_run_input_tuples_total",
+              "Input tuples of the finalized run", run.tuples);
+    l.Gauge("run.elapsed_seconds", "oij_run_elapsed_seconds",
+            "Wall time of the finalized run", run.elapsed_seconds);
+    l.Gauge("run.throughput_tps", "oij_run_throughput_tps",
             "Input tuples per second of the finalized run",
             run.throughput_tps);
-
-    w.Histogram("oij_result_latency_us",
-                "Result latency (arrival to emit, microseconds)",
-                st.latency);
-    // Summary gauges alongside the histogram; the Percentile <= max
-    // invariant established in the recorder carries through verbatim.
-    for (double q : {0.5, 0.9, 0.99}) {
-      char qbuf[8];
-      std::snprintf(qbuf, sizeof(qbuf), "%g", q);
-      w.Gauge("oij_result_latency_quantile_us",
-              "Result latency summary quantiles",
-              static_cast<double>(st.latency.Percentile(q)),
-              {{"quantile", qbuf}});
+    l.Counter("run.results", "oij_run_results_total",
+              "Results of the finalized run", run.stats.results);
+    // The Percentile <= max invariant of the recorder carries through.
+    for (const auto& [key, label, q] : {std::tuple{"p50", "0.5", 0.5},
+                                        std::tuple{"p90", "0.9", 0.9},
+                                        std::tuple{"p99", "0.99", 0.99}}) {
+      l.Gauge(std::string("run.latency_us.") + key,
+              "oij_result_latency_quantile_us",
+              "Result latency summary quantiles", lat.Percentile(q),
+              {{"quantile", label}});
     }
-    w.Gauge("oij_result_latency_max_us", "Maximum observed result latency",
-            static_cast<double>(st.latency.max_us()));
-
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.joined),
-              {{"disposition", "joined"}});
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.dropped),
-              {{"disposition", "dropped"}});
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.side_channel),
-              {{"disposition", "side_channel"}});
-    w.Counter("oij_overload_dropped_total",
-              "Tuples lost to backpressure",
-              static_cast<double>(st.overload_dropped));
-    w.Counter("oij_overload_shed_total",
-              "Tuples shed by the kShedOldest policy",
-              static_cast<double>(st.overload_shed));
-    w.Counter("oij_control_lost_total",
-              "Watermark/flush punctuations lost to stop/deadline",
-              static_cast<double>(st.control_lost));
+    l.Gauge("run.latency_us.max", "oij_result_latency_max_us",
+            "Maximum observed result latency", lat.max_us());
+    l.Gauge("run.latency_us.mean", "oij_result_latency_mean_us",
+            "Mean result latency", lat.mean_us());
+    l.Add(StatType::kHistogram, "run.latency_us.count",
+          "oij_result_latency_us",
+          "Result latency (arrival to emit, microseconds)")
+        .histogram = &lat;
+    l.Column(StatType::kText, "run.warnings", "", "", "warning",
+             run.stats.warnings, {});
   }
-  return w.Take();
+  return l;
+}
+
+std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
+  return RenderStatsPrometheus(ServerStats(snap).stats());
 }
 
 std::string RenderStatzJson(const AdminSnapshot& snap) {
-  JsonOut j;
-  j.Open('{');
-  j.Key("state");
-  j.String(snap.recovering ? "recovering"
-                           : (snap.run_finished ? "finished" : "serving"));
-  j.Key("engine");
-  j.String(snap.engine_name);
-  j.Key("workload");
-  j.String(snap.workload_name);
-  j.Key("uptime_seconds");
-  j.Number(snap.uptime_seconds);
-
-  j.Key("health");
-  j.Open('{');
-  j.Key("ok");
-  j.Bool(snap.health.ok());
-  j.Key("status");
-  j.String(snap.health.ToString());
-  j.Close('}');
-
-  const ServerCounters& c = snap.counters;
-  j.Key("server");
-  j.Open('{');
-  j.Key("connections_accepted");
-  j.Number(c.connections_accepted);
-  j.Key("connections_open");
-  j.Number(c.connections_open);
-  j.Key("admin_requests");
-  j.Number(c.admin_requests);
-  j.Key("bytes_in");
-  j.Number(c.bytes_in);
-  j.Key("bytes_out");
-  j.Number(c.bytes_out);
-  j.Key("frames_in");
-  j.Number(c.frames_in);
-  j.Key("frames_rejected");
-  j.Number(c.frames_rejected);
-  j.Key("tuples_in");
-  j.Number(c.tuples_in);
-  j.Key("watermarks_in");
-  j.Number(c.watermarks_in);
-  j.Key("results_streamed");
-  j.Number(c.results_streamed);
-  j.Key("subscribers");
-  j.Number(c.subscribers);
-  j.Key("subscribers_evicted");
-  j.Number(c.subscribers_evicted);
-  j.Key("watermark_acks");
-  j.Number(c.watermark_acks);
-  j.Key("hellos_rejected");
-  j.Number(c.hellos_rejected);
-  j.Close('}');
-
-  j.Key("engine_progress");
-  j.Open('{');
-  j.Key("accepted_tuples");
-  j.Number(snap.progress.pushed);
-  j.Key("watermarks");
-  j.Number(snap.progress.watermarks);
-  j.Key("queue_depths");
-  j.Open('[');
-  for (size_t d : snap.progress.queue_depths) {
-    j.Number(static_cast<uint64_t>(d));
-  }
-  j.Close(']');
-  j.Key("consumed");
-  j.Open('[');
-  for (uint64_t v : snap.progress.consumed) j.Number(v);
-  j.Close(']');
-  j.Key("memory");
-  j.Open('{');
-  j.Key("arena_bytes");
-  j.Number(snap.progress.arena_bytes);
-  j.Key("arena_live_nodes");
-  j.Number(snap.progress.arena_live_nodes);
-  j.Key("ebr_retired_backlog");
-  j.Number(snap.progress.ebr_retired_backlog);
-  j.Key("arena_slab_recycles");
-  j.Number(snap.progress.arena_slab_recycles);
-  j.Close('}');
-  j.Key("numa");
-  j.Open('{');
-  j.Key("active");
-  j.Bool(snap.progress.numa_active);
-  j.Key("nodes");
-  j.Number(static_cast<uint64_t>(snap.progress.numa_nodes));
-  j.Key("pin_cpus");
-  j.Open('[');
-  for (int cpu : snap.progress.numa_pin_cpus) {
-    j.Number(static_cast<int64_t>(cpu));
-  }
-  j.Close(']');
-  j.Key("joiner_node");
-  j.Open('[');
-  for (uint32_t n : snap.progress.numa_joiner_node) {
-    j.Number(static_cast<uint64_t>(n));
-  }
-  j.Close(']');
-  j.Key("per_node_arena_bytes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_bytes) j.Number(v);
-  j.Close(']');
-  j.Key("per_node_arena_live_nodes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_live_nodes) j.Number(v);
-  j.Close(']');
-  j.Key("cross_replications");
-  j.Number(snap.progress.numa_cross_replications);
-  j.Key("cross_dispatches");
-  j.Number(snap.progress.numa_cross_dispatches);
-  j.Close('}');
-  j.Close('}');
-
-  if (!snap.queries.empty()) {
-    j.Key("queries");
-    AppendQueryRows(j, snap.queries);
-  }
-
-  if (snap.wal.enabled) {
-    const WalStats& wal = snap.wal;
-    j.Key("wal");
-    j.Open('{');
-    j.Key("recovering");
-    j.Bool(snap.recovering);
-    j.Key("appended_records");
-    j.Number(wal.appended_records);
-    j.Key("appended_bytes");
-    j.Number(wal.appended_bytes);
-    j.Key("synced_records");
-    j.Number(wal.synced_records);
-    j.Key("fsyncs");
-    j.Number(wal.fsyncs);
-    j.Key("fsync_failures");
-    j.Number(wal.fsync_failures);
-    j.Key("short_writes");
-    j.Number(wal.short_writes);
-    j.Key("snapshots_taken");
-    j.Number(wal.snapshots_taken);
-    j.Key("snapshot_records");
-    j.Number(wal.snapshot_records);
-    j.Key("snapshot_age_seconds");
-    if (snap.snapshot_age_seconds >= 0.0) {
-      j.Number(snap.snapshot_age_seconds);
-    } else {
-      j.Null();  // no snapshot yet; -1 would read as a real age
-    }
-    j.Key("replay_records");
-    j.Number(wal.replay_records);
-    j.Key("replay_watermarks");
-    j.Number(wal.replay_watermarks);
-    j.Key("torn_records");
-    j.Number(wal.torn_records);
-    j.Key("recovery_duration_us");
-    j.Number(wal.recovery_duration_us);
-    j.Close('}');
-  }
-
-  if (snap.run_finished) {
-    const RunResult& run = snap.final_run;
-    const EngineStats& st = run.stats;
-    j.Key("run");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(run.tuples);
-    j.Key("elapsed_seconds");
-    j.Number(run.elapsed_seconds);
-    j.Key("throughput_tps");
-    j.Number(run.throughput_tps);
-    j.Key("results");
-    j.Number(st.results);
-    j.Key("latency_us");
-    j.Open('{');
-    j.Key("p50");
-    j.Number(st.latency.Percentile(0.50));
-    j.Key("p90");
-    j.Number(st.latency.Percentile(0.90));
-    j.Key("p99");
-    j.Number(st.latency.Percentile(0.99));
-    j.Key("max");
-    j.Number(st.latency.max_us());
-    j.Key("mean");
-    j.Number(st.latency.mean_us());
-    j.Close('}');
-    j.Key("late");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(st.late.tuples);
-    j.Key("dropped");
-    j.Number(st.late.dropped);
-    j.Key("side_channel");
-    j.Number(st.late.side_channel);
-    j.Key("joined");
-    j.Number(st.late.joined);
-    j.Close('}');
-    j.Key("overload");
-    j.Open('{');
-    j.Key("dropped");
-    j.Number(st.overload_dropped);
-    j.Key("shed");
-    j.Number(st.overload_shed);
-    j.Key("control_lost");
-    j.Number(st.control_lost);
-    j.Close('}');
-    j.Key("memory");
-    j.Open('{');
-    j.Key("pooled");
-    j.Bool(st.mem.pooled);
-    j.Key("arena_reserved_bytes");
-    j.Number(st.mem.arena_reserved_bytes);
-    j.Key("arena_live_nodes");
-    j.Number(st.mem.arena_live_nodes);
-    j.Key("arena_allocations");
-    j.Number(st.mem.arena_allocations);
-    j.Key("arena_slab_recycles");
-    j.Number(st.mem.arena_slab_recycles);
-    j.Key("ebr_retired_backlog");
-    j.Number(st.mem.ebr_retired_backlog);
-    j.Close('}');
-    j.Key("numa");
-    j.Open('{');
-    j.Key("active");
-    j.Bool(st.numa_active);
-    j.Key("nodes");
-    j.Number(static_cast<uint64_t>(st.numa_nodes));
-    j.Key("per_node_arena_bytes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_bytes) j.Number(v);
-    j.Close(']');
-    j.Key("per_node_arena_live_nodes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_live_nodes) j.Number(v);
-    j.Close(']');
-    j.Key("cross_replications");
-    j.Number(st.numa_cross_replications);
-    j.Key("cross_dispatches");
-    j.Number(st.numa_cross_dispatches);
-    j.Close('}');
-    j.Key("warnings");
-    j.Open('[');
-    for (const std::string& w : st.warnings) j.String(w);
-    j.Close(']');
-    j.Close('}');
-  }
-  j.Close('}');
-  std::string out = j.Take();
-  out += '\n';
-  return out;
+  return RenderStatsJson(ServerStats(snap).stats());
 }
 
 std::string RenderQueriesJson(const std::vector<QueryStatsRow>& queries) {
-  JsonOut j;
-  j.Open('{');
-  j.Key("queries");
-  AppendQueryRows(j, queries);
-  j.Close('}');
-  std::string out = j.Take();
-  out += '\n';
-  return out;
+  StatList list;
+  AddQueryRows(list, queries);
+  return RenderStatsJson(list.stats());
 }
 
 namespace {

@@ -9,6 +9,7 @@
 #include "common/watchdog.h"
 #include "core/pipeline.h"
 #include "join/engine.h"
+#include "metrics/stats.h"
 #include "net/http.h"
 #include "wal/wal.h"
 
@@ -45,7 +46,7 @@ struct AdminSnapshot {
   std::string workload_name;
   ServerCounters counters;
 
-  /// Live engine progress (queue depths, consumed, accepted, watermarks).
+  /// Live engine progress, loss counters, allocator and NUMA gauges.
   WatchdogSample progress;
 
   /// Live engine health; not-OK renders /healthz as 503.
@@ -59,7 +60,7 @@ struct AdminSnapshot {
   bool recovering = false;
 
   /// Durability counters (WalStats.enabled is false when the engine has
-  /// no WAL; the wal sections are omitted then).
+  /// no WAL; only the recovering flag renders then).
   WalStats wal;
 
   /// Seconds since the last completed snapshot, computed by the server
@@ -70,14 +71,19 @@ struct AdminSnapshot {
   double snapshot_age_seconds = -1.0;
 
   /// Standing-query catalog rows (engine->QuerySnapshot()); empty for
-  /// engines without a catalog.
+  /// engines without a catalog; row 0, the primary, has the live late counts.
   std::vector<QueryStatsRow> queries;
 
-  /// Set once the run has been finalized; `final_run` then carries the
-  /// merged stats (latency histogram, degradation counters, throughput).
+  /// Set once the run has been finalized; `final_run` then carries what
+  /// exists only at the end (throughput, latency histogram, warnings).
   bool run_finished = false;
   RunResult final_run;
 };
+
+/// Every stat the server's admin pages render, in /statz order: the one
+/// declaration behind both /metrics and /statz. It points into `snap`'s
+/// latency histogram, so `snap` must outlive it.
+StatList ServerStats(const AdminSnapshot& snap);
 
 /// Prometheus text-exposition body for GET /metrics.
 std::string RenderPrometheusMetrics(const AdminSnapshot& snap);

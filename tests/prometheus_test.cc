@@ -171,10 +171,10 @@ TEST(Prometheus, ArenaGaugesRenderFromProgressSample) {
   snap.engine_name = "scale-oij";
   snap.workload_name = "default";
   snap.run_finished = false;
-  snap.progress.arena_bytes = 4 * 64 * 1024;
-  snap.progress.arena_live_nodes = 1234;
-  snap.progress.ebr_retired_backlog = 56;
-  snap.progress.arena_slab_recycles = 7;
+  snap.progress.mem.arena_reserved_bytes = 4 * 64 * 1024;
+  snap.progress.mem.arena_live_nodes = 1234;
+  snap.progress.mem.ebr_retired_backlog = 56;
+  snap.progress.mem.arena_slab_recycles = 7;
   const std::string text = RenderPrometheusMetrics(snap);
 
   EXPECT_EQ(ParseGauge(text, "oij_arena_bytes"), 4.0 * 64 * 1024);
@@ -240,10 +240,9 @@ TEST(Statz, ArraysAreCommaSeparatedAndMemoryObjectRenders) {
   snap.run_finished = true;
   snap.progress.queue_depths = {1, 2, 3};
   snap.progress.consumed = {10, 20, 30};
-  snap.progress.arena_bytes = 65536;
+  snap.progress.mem.arena_reserved_bytes = 65536;
+  snap.progress.mem.pooled = true;
   snap.final_run.stats.warnings = {"w1", "w2"};
-  snap.final_run.stats.mem.pooled = true;
-  snap.final_run.stats.mem.arena_reserved_bytes = 131072;
   const std::string text = RenderStatzJson(snap);
 
   EXPECT_NE(text.find("\"queue_depths\":[1,2,3]"), std::string::npos)
@@ -252,8 +251,7 @@ TEST(Statz, ArraysAreCommaSeparatedAndMemoryObjectRenders) {
   EXPECT_NE(text.find("\"warnings\":[\"w1\",\"w2\"]"), std::string::npos);
   EXPECT_NE(text.find("\"memory\":{\"arena_bytes\":65536"),
             std::string::npos);
-  EXPECT_NE(text.find("\"memory\":{\"pooled\":true,"
-                      "\"arena_reserved_bytes\":131072"),
+  EXPECT_NE(text.find("\"pooled\":true,\"arena_reserved_bytes\":65536"),
             std::string::npos);
 
   // Structural sanity: brackets balance and never go negative.

@@ -25,6 +25,7 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -33,7 +34,9 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -44,6 +47,8 @@
 #include "join/watermark.h"
 #include "net/socket.h"
 #include "net/wire_codec.h"
+#include "metrics/stats.h"
+#include "server/admin.h"
 #include "server/server.h"
 #include "stream/generator.h"
 #include "stream/presets.h"
@@ -323,6 +328,507 @@ TEST(RouterFanBack, TwoBackendUnionMatchesReferenceOracle) {
   }
 
   router.Shutdown();
+  backend_a.Shutdown();
+  backend_b.Shutdown();
+}
+
+// ------------------------------------------------------ live admin stats
+
+/// Flattens a JSON document into (path, raw scalar) pairs in document
+/// order. Object members join with '.', every array adds "[]", and each
+/// member that holds a container is listed too, with an empty value, so
+/// an empty array still shows its key.
+class JsonFlattener {
+ public:
+  explicit JsonFlattener(std::string_view text) : s_(text) {
+    Value("");
+  }
+  std::vector<std::pair<std::string, std::string>> entries;
+
+  std::set<std::string> Paths() const {
+    std::set<std::string> paths;
+    for (const auto& [path, value] : entries) paths.insert(path);
+    return paths;
+  }
+  std::vector<std::string> ValuesAt(const std::string& path) const {
+    std::vector<std::string> values;
+    for (const auto& [p, v] : entries) {
+      if (p == path && !v.empty()) values.push_back(v);
+    }
+    return values;
+  }
+
+ private:
+  bool Space() const {
+    return std::isspace(static_cast<unsigned char>(s_[i_])) != 0;
+  }
+  void Ws() {
+    while (i_ < s_.size() && Space()) ++i_;
+  }
+  std::string String() {
+    const size_t start = ++i_;
+    while (s_[i_] != '"') i_ += s_[i_] == '\\' ? 2 : 1;
+    return std::string(s_.substr(start, i_++ - start));
+  }
+  void Value(const std::string& path) {
+    Ws();
+    if (s_[i_] == '{') {
+      ++i_;
+      Ws();
+      while (s_[i_] != '}') {
+        const std::string key = String();
+        Ws();
+        ++i_;  // ':'
+        const std::string child = path.empty() ? key : path + "." + key;
+        Ws();
+        if (s_[i_] == '{' || s_[i_] == '[') entries.emplace_back(child, "");
+        Value(child);
+        Ws();
+        if (s_[i_] == ',') ++i_;
+        Ws();
+      }
+      ++i_;
+    } else if (s_[i_] == '[') {
+      ++i_;
+      Ws();
+      while (s_[i_] != ']') {
+        Value(path + "[]");
+        Ws();
+        if (s_[i_] == ',') ++i_;
+        Ws();
+      }
+      ++i_;
+    } else {
+      const size_t start = i_;
+      if (s_[i_] == '"') {
+        String();
+      } else {
+        while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}' &&
+               s_[i_] != ']' && !Space()) {
+          ++i_;
+        }
+      }
+      entries.emplace_back(path, std::string(s_.substr(start, i_ - start)));
+    }
+  }
+
+  std::string_view s_;
+  size_t i_ = 0;
+};
+
+/// A server snapshot with every section present and every counter set.
+AdminSnapshot FullServerSnapshot() {
+  AdminSnapshot snap;
+  snap.engine_name = "scale-oij";
+  snap.workload_name = "default";
+  snap.uptime_seconds = 12.5;
+  ServerCounters& c = snap.counters;
+  c.connections_accepted = 1;
+  c.connections_open = 2;
+  c.admin_requests = 3;
+  c.bytes_in = 4;
+  c.bytes_out = 5;
+  c.frames_in = 6;
+  c.tuples_in = 7;
+  c.watermarks_in = 8;
+  c.frames_rejected = 9;
+  c.results_streamed = 10;
+  c.subscribers = 11;
+  c.subscribers_evicted = 12;
+  c.watermark_acks = 13;
+  c.hellos_rejected = 14;
+  WatchdogSample& p = snap.progress;
+  p.queue_depths = {4, 5};
+  p.consumed = {100, 200};
+  p.pushed = 300;
+  p.watermarks = 17;
+  p.overload_dropped = 9;
+  p.overload_shed = 2;
+  p.control_lost = 1;
+  p.mem = MemStats{true, 65536, 120, 130, 2, 1, 5};
+  p.numa.active = true;
+  p.numa.nodes = 2;
+  p.numa.pin_cpus = {0, -1};
+  p.numa.joiner_node = {0, 1};
+  p.numa.per_node_arena_bytes = {32768, 32768};
+  p.numa.per_node_arena_live_nodes = {60, 60};
+  p.numa.cross_replications = 3;
+  p.numa.cross_dispatches = 4;
+  QueryStatsRow main;
+  main.id = "main";
+  main.results = 50;
+  main.late = LateStats{6, 3, 2, 1, 4, 2};
+  QueryStatsRow narrow = main;
+  narrow.ord = 1;
+  narrow.id = "narrow";
+  narrow.active = false;
+  narrow.results = 20;
+  snap.queries = {main, narrow};
+  WalStats& wal = snap.wal;
+  wal.enabled = true;
+  wal.appended_records = 40;
+  wal.appended_bytes = 4000;
+  wal.synced_records = 39;
+  wal.fsyncs = 5;
+  wal.fsync_failures = 1;
+  wal.short_writes = 1;
+  wal.snapshots_taken = 2;
+  wal.snapshot_records = 30;
+  wal.replay_records = 25;
+  wal.replay_watermarks = 3;
+  wal.torn_records = 1;
+  wal.recovery_duration_us = 900;
+  snap.snapshot_age_seconds = 1.5;
+  snap.run_finished = true;
+  snap.final_run.tuples = 300;
+  snap.final_run.elapsed_seconds = 0.5;
+  snap.final_run.throughput_tps = 600;
+  snap.final_run.stats.results = 70;
+  for (int us : {120, 250, 900, 4000}) {
+    snap.final_run.stats.latency.Record(us);
+  }
+  snap.final_run.stats.warnings = {"w1"};
+  return snap;
+}
+
+/// The sample line `stat` renders for value `i` on /metrics.
+std::string SampleLine(const Stat& stat, size_t i) {
+  PrometheusLabels labels = stat.labels;
+  if (!stat.label.empty()) labels.emplace_back(stat.label, stat.keys[i]);
+  std::string line = stat.family;
+  if (stat.type == StatType::kHistogram) line += "_count";
+  if (!labels.empty()) {
+    line += "{";
+    for (size_t k = 0; k < labels.size(); ++k) {
+      if (k > 0) line += ",";
+      line += labels[k].first + "=\"" + EscapeLabelValue(labels[k].second) +
+              "\"";
+    }
+    line += "}";
+  }
+  const double v = stat.type == StatType::kHistogram
+                       ? static_cast<double>(stat.histogram->count())
+                       : stat.values[i];
+  return line + " " + FormatSampleValue(v);
+}
+
+/// What /statz shows for value `i` of `stat`.
+std::string JsonValue(const Stat& stat, size_t i) {
+  if (stat.type == StatType::kFlag) {
+    return stat.values[i] != 0.0 ? "true" : "false";
+  }
+  if (stat.type == StatType::kHistogram) {
+    return FormatSampleValue(static_cast<double>(stat.histogram->count()));
+  }
+  return std::isnan(stat.values[i]) ? "null"
+                                    : FormatSampleValue(stat.values[i]);
+}
+
+/// foreachStat: every numeric stat a plane lists renders on /metrics and
+/// on /statz, with the same value at its declared path.
+void ExpectEveryNumericStatOnBothPages(const StatList& list) {
+  const std::string metrics = "\n" + RenderStatsPrometheus(list.stats());
+  const JsonFlattener statz(RenderStatsJson(list.stats()));
+  for (const Stat& stat : list.stats()) {
+    if (stat.type == StatType::kText) continue;
+    const size_t n = stat.type == StatType::kHistogram ? 1 : stat.values.size();
+    std::vector<std::string> want;
+    for (size_t i = 0; i < n; ++i) {
+      want.push_back(JsonValue(stat, i));
+      if (stat.type != StatType::kHistogram && std::isnan(stat.values[i])) {
+        continue;  // absent: no sample
+      }
+      EXPECT_NE(metrics.find("\n" + SampleLine(stat, i) + "\n"),
+                std::string::npos)
+          << SampleLine(stat, i) << " missing from /metrics";
+    }
+    const bool array =
+        !stat.label.empty() && stat.path.find("[]") == std::string::npos;
+    EXPECT_EQ(statz.ValuesAt(array ? stat.path + "[]" : stat.path), want)
+        << stat.path << " on /statz";
+  }
+}
+
+/// The number after the first `"key":` of a /statz body, as the
+/// integration tests read it.
+double FirstNumber(const std::string& body, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = body.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key;
+  return pos == std::string::npos
+             ? 0.0
+             : std::strtod(body.c_str() + pos + needle.size(), nullptr);
+}
+
+TEST(AdminStats, EveryServerStatRendersOnBothPages) {
+  ExpectEveryNumericStatOnBothPages(ServerStats(FullServerSnapshot()));
+}
+
+TEST(AdminStats, ServerPagesKeepEveryFamilyAndKeyPath) {
+  // Every Prometheus family and /statz key path the server rendered
+  // before /metrics and /statz were declared from one stat list. The
+  // final-run memory, numa, late and overload objects are live now and
+  // render under engine_progress.
+  const AdminSnapshot snap = FullServerSnapshot();
+  const std::string server_metrics = RenderPrometheusMetrics(snap);
+  for (const char* family :
+       {"oij_up", "oij_uptime_seconds", "oij_healthy", "oij_run_finished",
+        "oij_recovering", "oij_connections_accepted_total",
+        "oij_connections_open", "oij_admin_requests_total",
+        "oij_ingest_bytes_total", "oij_egress_bytes_total",
+        "oij_frames_total", "oij_frames_rejected_total",
+        "oij_ingest_tuples_total", "oij_ingest_watermarks_total",
+        "oij_results_streamed_total", "oij_subscribers",
+        "oij_subscribers_evicted_total", "oij_watermark_acks_total",
+        "oij_hellos_rejected_total", "oij_engine_accepted_tuples_total",
+        "oij_engine_watermarks_total", "oij_joiner_queue_depth",
+        "oij_joiner_consumed_total", "oij_arena_bytes",
+        "oij_arena_live_nodes", "oij_ebr_retired_backlog",
+        "oij_arena_slab_recycles_total", "oij_numa_nodes",
+        "oij_numa_active", "oij_numa_joiner_cpu",
+        "oij_numa_node_arena_bytes", "oij_numa_node_arena_live_nodes",
+        "oij_numa_cross_replications_total",
+        "oij_numa_cross_dispatches_total", "oij_query_active",
+        "oij_query_results_total", "oij_query_late_total",
+        "oij_wal_appended_records_total", "oij_wal_appended_bytes",
+        "oij_wal_synced_records", "oij_wal_fsyncs_total",
+        "oij_wal_fsync_failures_total", "oij_wal_short_writes_total",
+        "oij_snapshots_total", "oij_snapshot_age_seconds",
+        "oij_wal_replay_records", "oij_wal_torn_records_total",
+        "oij_recovery_duration_us", "oij_run_input_tuples_total",
+        "oij_run_results_total", "oij_run_elapsed_seconds",
+        "oij_run_throughput_tps", "oij_result_latency_us",
+        "oij_result_latency_quantile_us", "oij_result_latency_max_us",
+        "oij_late_tuples_total", "oij_overload_dropped_total",
+        "oij_overload_shed_total", "oij_control_lost_total"}) {
+    EXPECT_NE(server_metrics.find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
+  }
+  const std::set<std::string> server_paths =
+      JsonFlattener(RenderStatzJson(snap)).Paths();
+  for (const char* path :
+       {"state", "engine", "workload", "uptime_seconds", "health.ok",
+        "health.status", "server.connections_accepted",
+        "server.connections_open", "server.admin_requests",
+        "server.bytes_in", "server.bytes_out", "server.frames_in",
+        "server.frames_rejected", "server.tuples_in",
+        "server.watermarks_in", "server.results_streamed",
+        "server.subscribers", "server.subscribers_evicted",
+        "server.watermark_acks", "server.hellos_rejected",
+        "engine_progress.accepted_tuples", "engine_progress.watermarks",
+        "engine_progress.queue_depths", "engine_progress.consumed",
+        "engine_progress.memory.arena_bytes",
+        "engine_progress.memory.arena_live_nodes",
+        "engine_progress.memory.ebr_retired_backlog",
+        "engine_progress.memory.arena_slab_recycles",
+        "engine_progress.numa.active", "engine_progress.numa.nodes",
+        "engine_progress.numa.pin_cpus", "engine_progress.numa.joiner_node",
+        "engine_progress.numa.per_node_arena_bytes",
+        "engine_progress.numa.per_node_arena_live_nodes",
+        "engine_progress.numa.cross_replications",
+        "engine_progress.numa.cross_dispatches", "queries[].id",
+        "queries[].ord", "queries[].active", "queries[].pre",
+        "queries[].fol", "queries[].lateness", "queries[].agg",
+        "queries[].emit", "queries[].late_policy", "queries[].results",
+        "queries[].late.tuples", "queries[].late.joined",
+        "queries[].late.dropped", "queries[].late.side_channel",
+        "wal.recovering", "wal.appended_records", "wal.appended_bytes",
+        "wal.synced_records", "wal.fsyncs", "wal.fsync_failures",
+        "wal.short_writes", "wal.snapshots_taken", "wal.snapshot_records",
+        "wal.snapshot_age_seconds", "wal.replay_records",
+        "wal.replay_watermarks", "wal.torn_records",
+        "wal.recovery_duration_us", "run.tuples", "run.elapsed_seconds",
+        "run.throughput_tps", "run.results", "run.latency_us.p50",
+        "run.latency_us.p90", "run.latency_us.p99", "run.latency_us.max",
+        "run.latency_us.mean", "run.warnings",
+        // Formerly run.late, run.overload, run.memory and run.numa.
+        "engine_progress.late.tuples", "engine_progress.late.dropped",
+        "engine_progress.late.side_channel", "engine_progress.late.joined",
+        "engine_progress.overload.dropped", "engine_progress.overload.shed",
+        "engine_progress.overload.control_lost",
+        "engine_progress.memory.pooled",
+        "engine_progress.memory.arena_reserved_bytes",
+        "engine_progress.memory.arena_allocations"}) {
+    EXPECT_TRUE(server_paths.count(path)) << path;
+  }
+}
+
+TEST(AdminStats, ServerKeysReadByFirstOccurrenceKeepTheirValues) {
+  // Integration tests read /statz keys by their first occurrence.
+  const std::string server = RenderStatzJson(FullServerSnapshot());
+  EXPECT_EQ(FirstNumber(server, "tuples_in"), 7.0);
+  EXPECT_EQ(FirstNumber(server, "appended_records"), 40.0);
+  EXPECT_EQ(FirstNumber(server, "synced_records"), 39.0);
+  EXPECT_EQ(FirstNumber(server, "results_streamed"), 10.0);
+  EXPECT_EQ(FirstNumber(server, "replay_records"), 25.0);
+}
+
+/// Every counter sample of a /metrics page, name{labels} -> value: the
+/// families typed counter, and the buckets, sum and count of histograms.
+std::map<std::string, double> CounterSamples(const std::string& text) {
+  std::set<std::string> families;
+  std::map<std::string, double> samples;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream type_line(line.substr(7));
+      std::string family, type;
+      type_line >> family >> type;
+      if (type == "counter" || type == "histogram") families.insert(family);
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const std::string name = line.substr(0, line.rfind(' '));
+    std::string family = name.substr(0, name.find('{'));
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      const std::string sfx = suffix;
+      if (family.size() > sfx.size() &&
+          family.compare(family.size() - sfx.size(), sfx.size(), sfx) == 0 &&
+          families.count(family.substr(0, family.size() - sfx.size()))) {
+        family.resize(family.size() - sfx.size());
+      }
+    }
+    if (families.count(family)) {
+      samples[name] = std::stod(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  return samples;
+}
+
+/// A live router in front of two backends. Between two scrapes of a
+/// serving backend and of the router, no counter goes down or vanishes;
+/// then the router's own stat list is checked as the server's is above.
+TEST(AdminStats, LiveRouterWithTwoBackends) {
+  WorkloadSpec workload;
+  ASSERT_TRUE(FindPreset("default", &workload));
+  workload.total_tuples = 4'000;
+  const std::vector<StreamEvent> events = Generate(workload);
+
+  ServerConfig sc;
+  sc.engine = EngineKind::kScaleOij;
+  sc.query.window = workload.window;
+  sc.query.lateness_us = workload.lateness_us;
+  sc.query.emit_mode = EmitMode::kWatermark;
+  sc.options.num_joiners = 2;
+  OijServer backend_a(sc);
+  OijServer backend_b(sc);
+  ASSERT_TRUE(backend_a.Start().ok());
+  ASSERT_TRUE(backend_b.Start().ok());
+  OijRouter router(TwoBackendConfig(backend_a, backend_b));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return router.CountersSnapshot().backend_connects >= 2;
+  }));
+
+  RouterClient client(router.data_port());
+  WatermarkTracker tracker(sc.query.lateness_us);
+  auto send = [&](size_t begin, size_t end) {
+    std::string batch;
+    for (size_t i = begin; i < end; ++i) {
+      tracker.Observe(events[i].tuple.ts);
+      AppendTupleFrame(&batch, events[i]);
+      if ((i + 1) % 256 == 0) {
+        AppendWatermarkFrame(&batch, tracker.watermark());
+      }
+    }
+    ASSERT_TRUE(client.Send(batch));
+    ASSERT_TRUE(WaitUntil(
+        [&] { return router.CountersSnapshot().tuples_routed == end; }));
+  };
+  auto scrape = [](uint16_t port) {
+    int code = 0;
+    const std::string text = HttpGet(port, "/metrics", &code);
+    EXPECT_EQ(code, 200);
+    return CounterSamples(text);
+  };
+
+  const size_t half = events.size() / 2;
+  send(0, half);
+  const auto router_before = scrape(router.admin_port());
+  const auto backend_before = scrape(backend_a.admin_port());
+  send(half, events.size());
+  const auto router_after = scrape(router.admin_port());
+  const auto backend_after = scrape(backend_a.admin_port());
+
+  auto expect_monotone = [](const std::map<std::string, double>& before,
+                            const std::map<std::string, double>& after) {
+    EXPECT_GT(before.size(), 10u);
+    for (const auto& [name, value] : before) {
+      const auto it = after.find(name);
+      ASSERT_NE(it, after.end()) << name << " vanished";
+      EXPECT_GE(it->second, value) << name << " went down";
+    }
+  };
+  expect_monotone(router_before, router_after);
+  expect_monotone(backend_before, backend_after);
+  EXPECT_GT(router_after.at("oij_router_tuples_routed_total"),
+            router_before.at("oij_router_tuples_routed_total"));
+
+  // The router's list, read off the loop thread once it has stopped: a
+  // router with two backends renders every numeric stat on both pages,
+  // keeps every family and key path it rendered before the list, and
+  // puts its counters ahead of the per-backend rows that reuse names.
+  router.Shutdown();
+  const StatList stats = router.AdminStats();
+  ExpectEveryNumericStatOnBothPages(stats);
+  const std::string router_metrics = RenderStatsPrometheus(stats.stats());
+  for (const char* family :
+       {"oij_router_tuples_in_total", "oij_router_tuples_routed_total",
+        "oij_router_tuples_queued_sticky_total",
+        "oij_router_tuples_failed_over_total",
+        "oij_router_tuples_dropped_total",
+        "oij_router_watermarks_broadcast_total", "oij_router_acks_total",
+        "oij_router_results_fanned_total", "oij_router_backend_retries_total",
+        "oij_router_replayed_tuples_total",
+        "oij_router_replay_dropped_tuples_total",
+        "oij_router_clients_stalled_evicted_total",
+        "oij_router_subscribers_evicted_total",
+        "oij_router_cluster_watermark", "oij_router_clients_open",
+        "oij_router_backend_healthy", "oij_router_backend_active",
+        "oij_router_backend_acked_watermark",
+        "oij_router_backend_replay_buffered_tuples",
+        "oij_router_backend_health_probes_total",
+        "oij_router_backend_health_failures_total",
+        "oij_router_backend_ejections_total",
+        "oij_router_backend_readmissions_total"}) {
+    EXPECT_NE(router_metrics.find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
+  }
+  const std::set<std::string> router_paths =
+      JsonFlattener(RenderStatsJson(stats.stats())).Paths();
+  for (const char* path :
+       {"clients_accepted", "clients_open", "clients_stalled_evicted",
+        "subscribers", "subscribers_evicted", "tuples_in", "tuples_routed",
+        "tuples_queued_sticky", "tuples_failed_over", "tuples_dropped",
+        "watermarks_in", "watermarks_broadcast", "watermarks_ignored",
+        "acks_received", "results_fanned", "backend_connects",
+        "backend_disconnects", "backend_retries", "replayed_tuples",
+        "replay_dropped_tuples", "hellos_rejected", "cluster_watermark",
+        "min_backend_acked", "run_finished", "backends[].id",
+        "backends[].state", "backends[].healthy", "backends[].durable_exact",
+        "backends[].acked_watermark", "backends[].replay_buffered_tuples",
+        "backends[].replay_dropped_tuples", "backends[].tuples_sent",
+        "backends[].watermarks_sent", "backends[].acks",
+        "backends[].connects", "backends[].disconnects",
+        "backends[].replays"}) {
+    EXPECT_TRUE(router_paths.count(path)) << path;
+  }
+  const std::string json = RenderStatsJson(stats.stats());
+  const RouterCounters c = router.CountersSnapshot();
+  EXPECT_EQ(FirstNumber(json, "tuples_in"), static_cast<double>(c.tuples_in));
+  EXPECT_EQ(FirstNumber(json, "replay_dropped_tuples"),
+            static_cast<double>(c.replay_dropped_tuples));
+  EXPECT_EQ(FirstNumber(json, "backend_connects"),
+            static_cast<double>(c.backend_connects));
+  EXPECT_EQ(FirstNumber(json, "results_fanned"),
+            static_cast<double>(c.results_fanned));
+  EXPECT_EQ(FirstNumber(json, "cluster_watermark"),
+            static_cast<double>(c.cluster_watermark));
+  EXPECT_EQ(FirstNumber(json, "min_backend_acked"),
+            static_cast<double>(c.min_backend_acked));
   backend_a.Shutdown();
   backend_b.Shutdown();
 }

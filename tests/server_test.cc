@@ -394,6 +394,71 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   server.Shutdown();
 }
 
+/// The loss series render while the server serves, before any kFinish:
+/// a stalled joiner under kDropNewest drops tuples, and tuples behind
+/// the watermark count as late.
+TEST(ServerAdminTest, LossSeriesRenderWhileServing) {
+  FaultInjector faults;
+  faults.stalled_joiner = 0;
+  faults.stall_after_events = 20;
+
+  ServerConfig config;
+  config.engine = EngineKind::kKeyOij;
+  config.query.window = {1000, 0};
+  config.query.lateness_us = 100;
+  config.query.late_policy = LatePolicy::kDropAndCount;
+  config.options.num_joiners = 1;
+  config.options.queue_capacity = 64;
+  config.options.overload_policy = OverloadPolicy::kDropNewest;
+  config.options.fault_injector = &faults;
+  config.options.enable_watchdog = false;
+  config.options.finish_timeout_us = 200'000;  // the joiner never drains
+  OijServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A watermark the stalled joiner still has room for, three tuples
+  // behind it, then more tuples than the ring holds.
+  std::string batch;
+  StreamEvent ev;
+  ev.stream = StreamId::kProbe;
+  ev.tuple.key = 1;
+  for (Timestamp ts = 1000; ts < 1010; ++ts) {
+    ev.tuple.ts = ts;
+    AppendTupleFrame(&batch, ev);
+  }
+  AppendWatermarkFrame(&batch, 1005);
+  for (Timestamp ts : {1001, 1002, 1003}) {
+    ev.tuple.ts = ts;
+    AppendTupleFrame(&batch, ev);
+  }
+  for (Timestamp ts = 1010; ts < 2010; ++ts) {
+    ev.tuple.ts = ts;
+    AppendTupleFrame(&batch, ev);
+  }
+  DataClient client(server.data_port());
+  ASSERT_TRUE(client.Send(batch));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return server.CountersSnapshot().tuples_in == 1013; }));
+
+  int code = 0;
+  const std::string body = HttpGet(server.admin_port(), "/metrics", &code);
+  ASSERT_EQ(code, 200);
+  auto sample = [&](const std::string& name) {
+    const size_t pos = body.find("\n" + name + " ");
+    EXPECT_NE(pos, std::string::npos) << name << " missing:\n" << body;
+    return pos == std::string::npos
+               ? 0.0
+               : std::strtod(body.c_str() + pos + name.size() + 2, nullptr);
+  };
+  EXPECT_NE(body.find("oij_run_finished 0"), std::string::npos);
+  EXPECT_GT(sample("oij_overload_dropped_total"), 0.0);
+  EXPECT_EQ(sample("oij_late_tuples_total{disposition=\"dropped\"}"), 3.0);
+  EXPECT_EQ(sample("oij_late_total"), 3.0);
+
+  server.Shutdown();
+  client.JoinReader();
+}
+
 TEST(ServerAdminTest, MalformedHttpRequestGets400) {
   ServerConfig config;
   config.options.num_joiners = 1;

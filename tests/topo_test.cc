@@ -524,15 +524,15 @@ TEST_P(NumaDifferentialTest, AutoEqualsOffEqualsOracle) {
 
   // The auto run must actually have placed: 2 fake nodes, every joiner
   // mapped, pins recorded. The off run must be a flat pool.
-  EXPECT_TRUE(run_auto.stats.numa_active) << label;
-  EXPECT_EQ(run_auto.stats.numa_nodes, 2u) << label;
-  ASSERT_EQ(run_auto.stats.numa_pin_cpus.size(), 3u) << label;
-  ASSERT_EQ(run_auto.stats.numa_joiner_node.size(), 3u) << label;
-  for (uint32_t node : run_auto.stats.numa_joiner_node) {
+  EXPECT_TRUE(run_auto.stats.numa.active) << label;
+  EXPECT_EQ(run_auto.stats.numa.nodes, 2u) << label;
+  ASSERT_EQ(run_auto.stats.numa.pin_cpus.size(), 3u) << label;
+  ASSERT_EQ(run_auto.stats.numa.joiner_node.size(), 3u) << label;
+  for (uint32_t node : run_auto.stats.numa.joiner_node) {
     EXPECT_LT(node, 2u) << label;
   }
-  EXPECT_FALSE(run_off.stats.numa_active) << label;
-  EXPECT_TRUE(run_off.stats.numa_pin_cpus.empty()) << label;
+  EXPECT_FALSE(run_off.stats.numa.active) << label;
+  EXPECT_TRUE(run_off.stats.numa.pin_cpus.empty()) << label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -568,11 +568,11 @@ TEST(NumaEngineTest, PerNodeArenaGaugesSplitWithoutSlabWalks) {
   options.num_joiners = 4;
   const auto run =
       RunOverEvents(EngineKind::kScaleOij, events, q, options, kWmEvery);
-  ASSERT_TRUE(run.stats.numa_active);
-  ASSERT_EQ(run.stats.numa_node_arena_bytes.size(), 2u);
-  ASSERT_EQ(run.stats.numa_node_arena_live_nodes.size(), 2u);
+  ASSERT_TRUE(run.stats.numa.active);
+  ASSERT_EQ(run.stats.numa.per_node_arena_bytes.size(), 2u);
+  ASSERT_EQ(run.stats.numa.per_node_arena_live_nodes.size(), 2u);
   uint64_t bytes = 0;
-  for (uint64_t v : run.stats.numa_node_arena_bytes) bytes += v;
+  for (uint64_t v : run.stats.numa.per_node_arena_bytes) bytes += v;
   EXPECT_EQ(bytes, run.stats.mem.arena_reserved_bytes);
   EXPECT_GT(bytes, 0u);
 }
@@ -592,8 +592,8 @@ TEST(NumaEngineTest, ExplicitMapRunsExactOnRealHost) {
     const auto run = RunOverEvents(kind, events, q, options, kWmEvery);
     const std::string label(EngineKindName(kind));
     ExpectResultsIdentical(run.results, expected, label + "/explicit");
-    EXPECT_TRUE(run.stats.numa_active) << label;
-    EXPECT_EQ(run.stats.numa_pin_cpus, (std::vector<int>{0, -1})) << label;
+    EXPECT_TRUE(run.stats.numa.active) << label;
+    EXPECT_EQ(run.stats.numa.pin_cpus, (std::vector<int>{0, -1})) << label;
   }
 }
 
@@ -630,7 +630,7 @@ TEST(NumaEngineTest, MultiQueryCatalogAutoVsOffAgree) {
         }
       }
       const EngineStats stats = engine->Finish();
-      EXPECT_EQ(stats.numa_active, numa_on) << EngineKindName(kind);
+      EXPECT_EQ(stats.numa.active, numa_on) << EngineKindName(kind);
       auto& by_query = numa_on ? by_query_auto : by_query_off;
       for (const JoinResult& r : sink.TakeResults()) {
         by_query[r.query].push_back({r.base, r.aggregate, r.match_count});
@@ -652,14 +652,14 @@ TEST(NumaStatzTest, PerNodeArraysRenderWithValidSeparators) {
   AdminSnapshot snap;
   snap.engine_name = "scale-oij";
   snap.workload_name = "test";
-  snap.progress.numa_active = true;
-  snap.progress.numa_nodes = 2;
-  snap.progress.numa_pin_cpus = {0, 1, -1};
-  snap.progress.numa_joiner_node = {0, 1, 0};
-  snap.progress.per_node_arena_bytes = {65536, 131072};
-  snap.progress.per_node_arena_live_nodes = {10, 20};
-  snap.progress.numa_cross_replications = 3;
-  snap.progress.numa_cross_dispatches = 7;
+  snap.progress.numa.active = true;
+  snap.progress.numa.nodes = 2;
+  snap.progress.numa.pin_cpus = {0, 1, -1};
+  snap.progress.numa.joiner_node = {0, 1, 0};
+  snap.progress.numa.per_node_arena_bytes = {65536, 131072};
+  snap.progress.numa.per_node_arena_live_nodes = {10, 20};
+  snap.progress.numa.cross_replications = 3;
+  snap.progress.numa.cross_dispatches = 7;
 
   const std::string json = RenderStatzJson(snap);
 
@@ -716,14 +716,14 @@ TEST(NumaStatzTest, PrometheusExportsPerNodeGauges) {
   AdminSnapshot snap;
   snap.engine_name = "scale-oij";
   snap.workload_name = "test";
-  snap.progress.numa_active = true;
-  snap.progress.numa_nodes = 2;
-  snap.progress.numa_pin_cpus = {0, 1};
-  snap.progress.numa_joiner_node = {0, 1};
-  snap.progress.per_node_arena_bytes = {4096, 8192};
-  snap.progress.per_node_arena_live_nodes = {5, 6};
-  snap.progress.numa_cross_replications = 2;
-  snap.progress.numa_cross_dispatches = 9;
+  snap.progress.numa.active = true;
+  snap.progress.numa.nodes = 2;
+  snap.progress.numa.pin_cpus = {0, 1};
+  snap.progress.numa.joiner_node = {0, 1};
+  snap.progress.numa.per_node_arena_bytes = {4096, 8192};
+  snap.progress.numa.per_node_arena_live_nodes = {5, 6};
+  snap.progress.numa.cross_replications = 2;
+  snap.progress.numa.cross_dispatches = 9;
 
   const std::string text = RenderPrometheusMetrics(snap);
   EXPECT_NE(text.find("oij_numa_nodes 2"), std::string::npos);
